@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <set>
 
 #include "core/nsga2.hpp"
@@ -226,6 +228,130 @@ TEST(Operators, SelectByRankCrowdingPrefersSpreadWithinFront) {
   for (const auto& ind : selected) kept.insert(ind.genome[0]);
   EXPECT_TRUE(kept.count(0));
   EXPECT_TRUE(kept.count(4));
+}
+
+// ---------- golden fingerprints ----------
+
+/// Three integer objectives over small gene ranges: many exact ties, many
+/// duplicate points and several non-dominated fronts per population.
+class TiedGridProblem final : public Problem {
+ public:
+  std::vector<std::size_t> gene_cardinalities() const override {
+    return {5, 5, 5, 4};
+  }
+  Objectives evaluate(const IntGenome& g) override {
+    return {static_cast<double>(g[0] + g[3]),
+            static_cast<double>(4 - g[0] + g[1] / 2),
+            static_cast<double>((g[2] * (g[3] + 1)) % 5)};
+  }
+};
+
+/// FNV-1a over every field of a run. All objectives are integer-valued, so
+/// every double hashed here (including means and hypervolumes) is computed
+/// exactly and the hash is the same on every build.
+struct Fnv1a {
+  std::uint64_t h = 1469598103934665603ULL;
+  void byte(unsigned char b) {
+    h ^= b;
+    h *= 1099511628211ULL;
+  }
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) byte(static_cast<unsigned char>(v >> (8 * i)));
+  }
+  void f64(double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    u64(bits);
+  }
+  void doubles(const std::vector<double>& values) {
+    u64(values.size());
+    for (double v : values) f64(v);
+  }
+  void individuals(const std::vector<Individual>& population) {
+    u64(population.size());
+    for (const auto& ind : population) {
+      u64(ind.genome.size());
+      for (std::int32_t g : ind.genome) u64(static_cast<std::uint32_t>(g));
+      doubles(ind.objectives);
+    }
+  }
+};
+
+std::uint64_t fingerprint(const Nsga2Result& result) {
+  Fnv1a fnv;
+  fnv.individuals(result.final_population);
+  fnv.individuals(result.front);
+  fnv.individuals(result.history);
+  fnv.u64(result.generations.size());
+  for (const auto& stats : result.generations) {
+    fnv.u64(stats.generation);
+    fnv.doubles(stats.best);
+    fnv.doubles(stats.mean);
+    fnv.u64(stats.front_size);
+    fnv.f64(stats.hypervolume);
+  }
+  fnv.u64(result.evaluations);
+  return fnv.h;
+}
+
+/// Pins the exact populations, fronts, histories and convergence records of
+/// seeded runs. Any change to selection order, tie-breaking or the RNG
+/// stream moves these constants; they must only change with a deliberate
+/// spec-version bump.
+TEST(Nsga2, GoldenFingerprints) {
+  {
+    TradeoffProblem problem;
+    Nsga2Config config;
+    config.population = 20;
+    config.generations = 15;
+    config.seed = 11;
+    config.hv_reference = {0.0, 0.0};
+    EXPECT_EQ(fingerprint(Nsga2(config).run(problem)), 0xe04a12f9e04e67d8ULL)
+        << "2-D trade-off";
+  }
+  {
+    TiedGridProblem problem;
+    Nsga2Config config;
+    config.population = 24;
+    config.generations = 12;
+    config.seed = 5;
+    config.hv_reference = {-1.0, -1.0, -1.0};
+    EXPECT_EQ(fingerprint(Nsga2(config).run(problem)), 0xcf6a8ed503ced74bULL)
+        << "3-D ties";
+  }
+  {
+    TiedGridProblem problem;
+    Nsga2Config config;
+    config.population = 13;  // odd: the last pair's second child is dropped
+    config.generations = 9;
+    config.seed = 77;
+    config.crossover_prob = 0.6;
+    EXPECT_EQ(fingerprint(Nsga2(config).run(problem)), 0x31569147724f9813ULL)
+        << "odd population";
+  }
+  {
+    TradeoffProblem problem;
+    Nsga2Config config;
+    config.population = 10;
+    config.generations = 6;
+    config.seed = 3;
+    config.initial_population = {{0, 9}, {30, 9}, {15, 0}, {15, 0}};
+    EXPECT_EQ(fingerprint(Nsga2(config).run(problem)), 0x73bbbea597c752d5ULL)
+        << "seeded start";
+  }
+  {
+    hadas::util::Rng rng(99);
+    std::vector<Individual> candidates;
+    for (std::int32_t i = 0; i < 40; ++i) {
+      candidates.push_back({{i},
+                            {static_cast<double>(rng.uniform_index(6)),
+                             static_cast<double>(rng.uniform_index(6)),
+                             static_cast<double>(rng.uniform_index(3))}});
+    }
+    Fnv1a fnv;
+    fnv.individuals(select_by_rank_crowding(candidates, 17));
+    EXPECT_EQ(fnv.h, 0x8ed7d7bbaeb15138ULL) << "select_by_rank_crowding";
+  }
 }
 
 }  // namespace
