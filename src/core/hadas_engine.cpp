@@ -9,7 +9,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "core/eval_batch.hpp"
 #include "core/serialize.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -432,7 +431,7 @@ HadasResult HadasEngine::run(const WarmStart& warm) {
 
     // --- Early selection: prune P_B^g to P_B^g' via non-dominated sorting
     // on the static objectives; the elites are mapped to IOEs. ---
-    ObjectiveBatch static_points(3);
+    std::vector<Objectives> static_points;
     static_points.reserve(indices.size());
     for (std::size_t idx : indices)
       static_points.push_back(constrained(result.backbones[idx].static_eval));

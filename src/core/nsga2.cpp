@@ -1,13 +1,9 @@
 #include "core/nsga2.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
 #include <stdexcept>
 #include <unordered_map>
-
-#include "core/eval_batch.hpp"
-#include "exec/arena.hpp"
 
 namespace hadas::core {
 
@@ -69,29 +65,26 @@ struct GenomeHash {
   }
 };
 
-/// Per-front crowding scattered to per-individual arrays (rank comes from
-/// the incremental FrontLevels structure).
-void scatter_rank_crowding(const ObjectiveBatch& points, const FrontLevels& levels,
-                           std::size_t* rank, double* crowding) {
-  for (const auto& front : levels.fronts()) {
-    const auto dist = crowding_distance(points, front);
-    for (std::size_t i = 0; i < front.size(); ++i) {
-      rank[front[i]] = levels.rank_of(front[i]);
-      crowding[front[i]] = dist[i];
-    }
-  }
+std::vector<Objectives> objectives_of(const std::vector<Individual>& population) {
+  std::vector<Objectives> points;
+  points.reserve(population.size());
+  for (const auto& ind : population) points.push_back(ind.objectives);
+  return points;
 }
 
-/// Elitist (mu + lambda) truncation over the maintained front levels:
-/// whole fronts while they fit, crowding-truncated cut front, all listed
-/// front-major in ascending index order (the canonical order that keeps
-/// FrontLevels::select exact).
-std::vector<std::size_t> elitist_keep(const ObjectiveBatch& points,
-                                      const FrontLevels& levels,
-                                      std::size_t target) {
+}  // namespace
+
+std::vector<Individual> select_by_rank_crowding(std::vector<Individual> candidates,
+                                                std::size_t target) {
+  if (candidates.size() <= target) return candidates;
+  // Whole fronts while they fit, then the most crowding-distant members of
+  // the cut front. Survivors are listed front-major, ascending index within
+  // each front (the cut front included): the order the golden fingerprints
+  // pin.
+  const auto points = objectives_of(candidates);
   std::vector<std::size_t> keep;
   keep.reserve(target);
-  for (const auto& front : levels.fronts()) {
+  for (const auto& front : non_dominated_sort(points)) {
     if (keep.size() + front.size() <= target) {
       keep.insert(keep.end(), front.begin(), front.end());
       if (keep.size() == target) break;
@@ -109,29 +102,6 @@ std::vector<std::size_t> elitist_keep(const ObjectiveBatch& points,
       break;
     }
   }
-  return keep;
-}
-
-std::vector<Individual> materialize(const EvalBatch& batch) {
-  std::vector<Individual> out(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    out[i].genome = batch.genomes.to_genome(i);
-    out[i].objectives = batch.objectives.to_objectives(i);
-  }
-  return out;
-}
-
-}  // namespace
-
-std::vector<Individual> select_by_rank_crowding(std::vector<Individual> candidates,
-                                                std::size_t target) {
-  if (candidates.size() <= target) return candidates;
-  ObjectiveBatch points(candidates.front().objectives.size());
-  points.reserve(candidates.size());
-  for (const auto& c : candidates) points.push_back(c.objectives);
-  FrontLevels levels;
-  levels.rebuild(points);
-  const auto keep = elitist_keep(points, levels, target);
   std::vector<Individual> selected;
   selected.reserve(target);
   for (std::size_t idx : keep) selected.push_back(std::move(candidates[idx]));
@@ -161,13 +131,10 @@ Nsga2Result Nsga2::run(Problem& problem) {
     return obj;
   };
 
-  // SoA population: genome i at batch.genomes.row(i), objectives at
-  // batch.objectives.row(i). The front structure is maintained
-  // incrementally across generations instead of re-sorted from scratch.
-  EvalBatch batch;
-  batch.genomes = GenomeBatch(cardinalities.size());
-  FrontLevels levels;
-  exec::MonotonicArena arena;
+  // Parents occupy [0, mu); each generation appends mu offspring, then the
+  // elitist selection truncates parents + offspring back to mu.
+  std::vector<Individual> population;
+  population.reserve(2 * config_.population);
 
   // Initial population: warm seeds first (repaired), then random fill. An
   // empty seed list reproduces the historical fully random cold start.
@@ -181,49 +148,51 @@ Nsga2Result Nsga2::run(Problem& problem) {
     } else {
       genome = problem.random_genome(rng);
     }
-    const Objectives obj = evaluate(genome);
-    batch.genomes.push_back(genome);
-    batch.objectives.push_back(obj);
+    Objectives obj = evaluate(genome);
+    population.push_back({std::move(genome), std::move(obj)});
   }
-  levels.rebuild(batch.objectives);
 
-  auto record_stats = [&](std::size_t gen) {
+  auto record_stats = [&](std::size_t gen, const std::vector<Objectives>& points,
+                          const std::vector<std::size_t>& front) {
     GenerationStats stats;
     stats.generation = gen;
-    const std::size_t dims = batch.objectives.dims();
-    const std::size_t n = batch.size();
+    const std::size_t dims = points.front().size();
+    const std::size_t n = points.size();
     stats.best.assign(dims, -std::numeric_limits<double>::infinity());
     stats.mean.assign(dims, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double* row = batch.objectives.row(i);
+    for (const auto& p : points) {
       for (std::size_t k = 0; k < dims; ++k) {
-        stats.best[k] = std::max(stats.best[k], row[k]);
-        stats.mean[k] += row[k] / static_cast<double>(n);
+        stats.best[k] = std::max(stats.best[k], p[k]);
+        stats.mean[k] += p[k] / static_cast<double>(n);
       }
     }
-    const auto& front = levels.fronts().front();
     stats.front_size = front.size();
     if (config_.hv_reference.size() == dims) {
       std::vector<Objectives> front_points;
       front_points.reserve(front.size());
-      for (std::size_t idx : front)
-        front_points.push_back(batch.objectives.to_objectives(idx));
+      for (std::size_t idx : front) front_points.push_back(points[idx]);
       stats.hypervolume = hypervolume(front_points, config_.hv_reference);
     }
     result.generations.push_back(std::move(stats));
   };
 
   for (std::size_t gen = 0; gen < config_.generations; ++gen) {
-    record_stats(gen);
-    if (observer_) observer_(gen, materialize(batch));
+    const auto points = objectives_of(population);
+    const auto fronts = non_dominated_sort(points);
+    record_stats(gen, points, fronts.front());
+    if (observer_) observer_(gen, population);
 
-    // Snapshot parent (rank, crowding) for tournament selection; offspring
-    // insertions below must not shift the selection pressure mid-generation.
-    arena.reset();
-    const std::size_t mu = batch.size();
-    std::size_t* rank = arena.alloc_array<std::size_t>(mu);
-    double* crowding = arena.alloc_array<double>(mu);
-    scatter_rank_crowding(batch.objectives, levels, rank, crowding);
+    // Parent (rank, crowding) for tournament selection.
+    const std::size_t mu = population.size();
+    std::vector<std::size_t> rank(mu);
+    std::vector<double> crowding(mu);
+    for (std::size_t f = 0; f < fronts.size(); ++f) {
+      const auto dist = crowding_distance(points, fronts[f]);
+      for (std::size_t i = 0; i < fronts[f].size(); ++i) {
+        rank[fronts[f][i]] = f;
+        crowding[fronts[f][i]] = dist[i];
+      }
+    }
 
     auto tournament = [&]() -> std::size_t {
       const std::size_t a = rng.uniform_index(mu);
@@ -232,55 +201,40 @@ Nsga2Result Nsga2::run(Problem& problem) {
       return crowding[a] >= crowding[b] ? a : b;
     };
 
-    // Offspring generation (lambda = mu); each evaluated child is appended
-    // to the batch and ENLU-inserted into the maintained fronts.
+    // Offspring generation (lambda = mu), appended after the parents.
     std::size_t produced = 0;
     IntGenome c1, c2;
     while (produced < config_.population) {
       const std::size_t p1 = tournament();
       const std::size_t p2 = tournament();
       if (rng.bernoulli(config_.crossover_prob)) {
-        const IntGenome g1 = batch.genomes.to_genome(p1);
-        const IntGenome g2 = batch.genomes.to_genome(p2);
-        uniform_crossover(g1, g2, c1, c2, rng);
+        uniform_crossover(population[p1].genome, population[p2].genome, c1, c2,
+                          rng);
       } else {
-        c1 = batch.genomes.to_genome(p1);
-        c2 = batch.genomes.to_genome(p2);
+        c1 = population[p1].genome;
+        c2 = population[p2].genome;
       }
       for (IntGenome* child : {&c1, &c2}) {
         if (produced == config_.population) break;
         reset_mutation(*child, cardinalities, mut_prob, rng);
         problem.repair(*child, rng);
-        const Objectives obj = evaluate(*child);
-        const std::size_t idx = batch.genomes.push_back(*child);
-        batch.objectives.push_back(obj);
-        levels.insert(batch.objectives, idx);
+        Objectives obj = evaluate(*child);
+        population.push_back({*child, std::move(obj)});
         ++produced;
       }
     }
-#ifndef NDEBUG
-    assert(levels.matches_full_sort(batch.objectives) &&
-           "incremental non-dominated sort diverged from full sort");
-#endif
 
-    // Elitist environmental selection over parents + offspring; the kept
-    // rows are front-prefix closed, so the surviving levels are exactly the
-    // fronts of the survivor subset — no re-sort next generation.
-    const auto keep = elitist_keep(batch.objectives, levels, config_.population);
-    batch.select(keep);
-    levels.select(keep);
-#ifndef NDEBUG
-    assert(levels.matches_full_sort(batch.objectives) &&
-           "front truncation diverged from full sort");
-#endif
+    // Elitist (mu + lambda) environmental selection over parents + offspring.
+    population = select_by_rank_crowding(std::move(population), config_.population);
   }
-  record_stats(config_.generations);
-  if (observer_) observer_(config_.generations, materialize(batch));
+  const auto points = objectives_of(population);
+  record_stats(config_.generations, points, non_dominated_sort(points).front());
+  if (observer_) observer_(config_.generations, population);
 
   // Final front: non-dominated subset of everything evaluated.
   for (std::size_t payload : archive.payloads())
     result.front.push_back(result.history[payload]);
-  result.final_population = materialize(batch);
+  result.final_population = std::move(population);
   return result;
 }
 

@@ -1,70 +1,76 @@
 #include "core/pareto.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <limits>
 #include <stdexcept>
 
-#include "core/eval_batch.hpp"
-
 namespace hadas::core {
-
-bool dominates(const Objectives& a, const Objectives& b) {
-  if (a.size() != b.size()) throw std::invalid_argument("dominates: dim mismatch");
-  return dominates_span(a.data(), b.data(), a.size());
-}
-
-bool dominates_span(const double* a, const double* b, std::size_t dims) {
-  bool strictly_better = false;
-  for (std::size_t k = 0; k < dims; ++k) {
-    if (a[k] < b[k]) return false;
-    if (a[k] > b[k]) strictly_better = true;
-  }
-  return strictly_better;
-}
 
 namespace {
 
-/// Shared Deb bookkeeping over any row accessor (AoS vector-of-vectors or
-/// SoA batch). Fronts come out in ascending index order — the canonical
-/// order FrontLevels maintains incrementally.
-template <typename RowFn>
-std::vector<std::vector<std::size_t>> deb_sort(std::size_t n, std::size_t dims,
-                                               RowFn row) {
-  std::vector<std::vector<std::size_t>> dominated_by(n);  // i dominates these
-  std::vector<std::size_t> domination_count(n, 0);
-  std::vector<std::vector<std::size_t>> fronts;
-
-  std::vector<std::size_t> current;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* pi = row(i);
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      if (dominates_span(pi, row(j), dims))
-        dominated_by[i].push_back(j);
-      else if (dominates_span(row(j), pi, dims))
-        ++domination_count[i];
-    }
-    if (domination_count[i] == 0) current.push_back(i);
+/// One pass over both points: +1 if `a` dominates `b`, -1 if `b` dominates
+/// `a`, 0 if they are equal or incomparable.
+int dominance(const double* a, const double* b, std::size_t dims) {
+  bool a_better = false;
+  bool b_better = false;
+  for (std::size_t k = 0; k < dims; ++k) {
+    a_better |= a[k] > b[k];
+    b_better |= a[k] < b[k];
   }
+  return static_cast<int>(a_better) - static_cast<int>(b_better);
+}
 
-  while (!current.empty()) {
-    std::sort(current.begin(), current.end());
-    fronts.push_back(current);
-    std::vector<std::size_t> next;
-    for (std::size_t i : current) {
-      for (std::size_t j : dominated_by[i]) {
-        if (--domination_count[j] == 0) next.push_back(j);
+}  // namespace
+
+bool dominates(const Objectives& a, const Objectives& b) {
+  if (a.size() != b.size()) throw std::invalid_argument("dominates: dim mismatch");
+  return dominance(a.data(), b.data(), a.size()) > 0;
+}
+
+std::vector<std::vector<std::size_t>> non_dominated_sort(
+    const std::vector<Objectives>& points) {
+  const std::size_t n = points.size();
+  // dominates_row[i * n + j] != 0 iff point i dominates point j.
+  std::vector<char> dominates_row(n * n, 0);
+  std::vector<std::size_t> domination_count(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const int d = dominance(points[i].data(), points[j].data(), points[i].size());
+      if (d > 0) {
+        dominates_row[i * n + j] = 1;
+        ++domination_count[j];
+      } else if (d < 0) {
+        dominates_row[j * n + i] = 1;
+        ++domination_count[i];
       }
     }
-    current = std::move(next);
+  }
+
+  // Peel fronts: each front is every unplaced point nobody unplaced
+  // dominates, found by an ascending scan (so it is listed in ascending
+  // index order); placing it lifts its row off the counts. A front that
+  // comes out empty means a dominance cycle (NaN objectives) — the
+  // remaining points stay unranked.
+  std::vector<std::vector<std::size_t>> fronts;
+  std::vector<char> placed(n, 0);
+  for (std::size_t placed_count = 0; placed_count < n;) {
+    std::vector<std::size_t> front;
+    for (std::size_t j = 0; j < n; ++j)
+      if (!placed[j] && domination_count[j] == 0) front.push_back(j);
+    if (front.empty()) break;
+    for (std::size_t i : front) {
+      placed[i] = 1;
+      const char* row = &dominates_row[i * n];
+      for (std::size_t j = 0; j < n; ++j) domination_count[j] -= row[j];
+    }
+    placed_count += front.size();
+    fronts.push_back(std::move(front));
   }
   return fronts;
 }
 
-template <typename RowFn>
-std::vector<double> crowding_impl(std::size_t dims, RowFn row,
-                                  const std::vector<std::size_t>& front) {
+std::vector<double> crowding_distance(const std::vector<Objectives>& points,
+                                      const std::vector<std::size_t>& front) {
   const std::size_t m = front.size();
   std::vector<double> dist(m, 0.0);
   if (m == 0) return dist;
@@ -73,167 +79,26 @@ std::vector<double> crowding_impl(std::size_t dims, RowFn row,
     std::fill(dist.begin(), dist.end(), kInf);
     return dist;
   }
+  const std::size_t dims = points.front().size();
   std::vector<std::size_t> order(m);
   for (std::size_t i = 0; i < m; ++i) order[i] = i;
   for (std::size_t k = 0; k < dims; ++k) {
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return row(front[a])[k] < row(front[b])[k];
+      return points[front[a]][k] < points[front[b]][k];
     });
-    const double lo = row(front[order.front()])[k];
-    const double hi = row(front[order.back()])[k];
+    const double lo = points[front[order.front()]][k];
+    const double hi = points[front[order.back()]][k];
     dist[order.front()] = kInf;
     dist[order.back()] = kInf;
     if (hi <= lo) continue;
     for (std::size_t i = 1; i + 1 < m; ++i) {
       if (dist[order[i]] == kInf) continue;
       dist[order[i]] +=
-          (row(front[order[i + 1]])[k] - row(front[order[i - 1]])[k]) /
+          (points[front[order[i + 1]]][k] - points[front[order[i - 1]]][k]) /
           (hi - lo);
     }
   }
   return dist;
-}
-
-}  // namespace
-
-std::vector<std::vector<std::size_t>> non_dominated_sort(
-    const std::vector<Objectives>& points) {
-  const std::size_t dims = points.empty() ? 0 : points.front().size();
-  return deb_sort(points.size(), dims,
-                  [&](std::size_t i) { return points[i].data(); });
-}
-
-std::vector<std::vector<std::size_t>> non_dominated_sort(
-    const ObjectiveBatch& points) {
-  return deb_sort(points.size(), points.dims(),
-                  [&](std::size_t i) { return points.row(i); });
-}
-
-std::vector<double> crowding_distance(const std::vector<Objectives>& points,
-                                      const std::vector<std::size_t>& front) {
-  const std::size_t dims = points.empty() ? 0 : points.front().size();
-  return crowding_impl(dims, [&](std::size_t i) { return points[i].data(); },
-                       front);
-}
-
-std::vector<double> crowding_distance(const ObjectiveBatch& points,
-                                      const std::vector<std::size_t>& front) {
-  return crowding_impl(points.dims(), [&](std::size_t i) { return points.row(i); },
-                       front);
-}
-
-void FrontLevels::clear() {
-  fronts_.clear();
-  rank_.clear();
-}
-
-void FrontLevels::rebuild(const ObjectiveBatch& points) {
-  fronts_ = non_dominated_sort(points);
-  rank_.assign(points.size(), 0);
-  for (std::size_t f = 0; f < fronts_.size(); ++f)
-    for (std::size_t idx : fronts_[f]) rank_[idx] = f;
-}
-
-void FrontLevels::insert(const ObjectiveBatch& points, std::size_t idx) {
-  if (idx != rank_.size())
-    throw std::invalid_argument("FrontLevels::insert: non-contiguous index");
-  const std::size_t dims = points.dims();
-  const double* p = points.row(idx);
-
-  // Find the first level where nothing dominates the newcomer.
-  std::size_t f = 0;
-  for (; f < fronts_.size(); ++f) {
-    bool dominated = false;
-    for (std::size_t m : fronts_[f]) {
-      if (dominates_span(points.row(m), p, dims)) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) break;
-  }
-  rank_.push_back(f);
-  if (f == fronts_.size()) {
-    fronts_.push_back({idx});
-    return;
-  }
-
-  // Members of level f the newcomer dominates get displaced downward.
-  std::vector<std::size_t> moved;
-  auto& front = fronts_[f];
-  std::size_t w = 0;
-  for (std::size_t r = 0; r < front.size(); ++r) {
-    if (dominates_span(p, points.row(front[r]), dims))
-      moved.push_back(front[r]);
-    else
-      front[w++] = front[r];
-  }
-  front.resize(w);
-  front.push_back(idx);  // idx is the largest row index: ascending order kept
-
-  // Cascade: a displaced set from level l can only push members of level
-  // l+1 further down (nothing in l+1 can dominate a former member of l), so
-  // a single downward sweep restores all invariants.
-  std::size_t level = f + 1;
-  while (!moved.empty()) {
-    if (level == fronts_.size()) {
-      for (std::size_t m : moved) rank_[m] = level;
-      fronts_.push_back(std::move(moved));
-      return;
-    }
-    auto& cur = fronts_[level];
-    std::vector<std::size_t> displaced;
-    w = 0;
-    for (std::size_t r = 0; r < cur.size(); ++r) {
-      bool dom = false;
-      for (std::size_t t : moved) {
-        if (dominates_span(points.row(t), points.row(cur[r]), dims)) {
-          dom = true;
-          break;
-        }
-      }
-      if (dom)
-        displaced.push_back(cur[r]);
-      else
-        cur[w++] = cur[r];
-    }
-    cur.resize(w);
-    std::vector<std::size_t> merged;
-    merged.reserve(cur.size() + moved.size());
-    std::merge(cur.begin(), cur.end(), moved.begin(), moved.end(),
-               std::back_inserter(merged));
-    cur = std::move(merged);
-    for (std::size_t t : moved) rank_[t] = level;
-    moved = std::move(displaced);
-    ++level;
-  }
-}
-
-void FrontLevels::select(const std::vector<std::size_t>& keep) {
-  std::vector<std::size_t> old_to_new(rank_.size(), static_cast<std::size_t>(-1));
-  for (std::size_t i = 0; i < keep.size(); ++i) old_to_new[keep[i]] = i;
-
-  std::vector<std::vector<std::size_t>> next_fronts;
-  std::vector<std::size_t> next_rank(keep.size(), 0);
-  for (const auto& front : fronts_) {
-    std::vector<std::size_t> kept;
-    for (std::size_t idx : front) {
-      const std::size_t renumbered = old_to_new[idx];
-      if (renumbered == static_cast<std::size_t>(-1)) continue;
-      kept.push_back(renumbered);
-    }
-    if (kept.empty()) continue;
-    // keep[] is front-major ascending, so renumbering is monotone within a
-    // front and `kept` stays ascending.
-    for (std::size_t idx : kept) next_rank[idx] = next_fronts.size();
-    next_fronts.push_back(std::move(kept));
-  }
-  fronts_ = std::move(next_fronts);
-  rank_ = std::move(next_rank);
-}
-
-bool FrontLevels::matches_full_sort(const ObjectiveBatch& points) const {
-  return fronts_ == non_dominated_sort(points);
 }
 
 std::vector<std::size_t> pareto_front(const std::vector<Objectives>& points) {

@@ -1,18 +1,23 @@
 #include "exec/dispatcher.hpp"
 
 #include <cstdlib>
-#include <string>
+#include <stdexcept>
 #include <thread>
+
+#include "util/strutil.hpp"
 
 namespace hadas::exec {
 
 std::size_t resolve_threads(const ExecConfig& config) {
   std::size_t threads = config.threads;
   if (const char* env = std::getenv("HADAS_THREADS")) {
-    char* end = nullptr;
-    const unsigned long parsed = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && parsed > 0)
-      threads = static_cast<std::size_t>(parsed);
+    try {
+      const std::size_t parsed = util::parse_size("HADAS_THREADS", env);
+      if (parsed > 0) threads = parsed;
+    } catch (const std::invalid_argument&) {
+      // Not digits only (strtoul would wrap "-1" to 2^64-1 workers): the
+      // configured count stands.
+    }
   }
   if (threads == 0) {
     threads = std::thread::hardware_concurrency();

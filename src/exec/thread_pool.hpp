@@ -1,42 +1,15 @@
 #pragma once
 
-#include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace hadas::exec {
 
-/// Fixed-size worker pool with per-worker deques and work stealing.
-///
-/// Tasks posted from a worker thread go to that worker's own deque (popped
-/// LIFO for cache locality); tasks posted from outside land on a shared
-/// injection queue. An idle worker first drains its own deque, then the
-/// injection queue, then steals FIFO from a sibling — so the shared-mutex
-/// convoy of the old single-queue design only exists on the cold path.
-/// Execution order is therefore not globally FIFO; callers that need a
-/// deterministic result order must merge by index (as ParallelDispatcher
-/// does), never by completion order.
-///
-/// - `submit` returns a std::future carrying the task's result or exception.
-/// - `parallel_for` blocks until every iteration ran; the calling thread
-///   participates in the work, so nested parallel_for calls (a task that
-///   itself fans out) cannot deadlock even with a single worker.
-/// - `wait` drains pending queue entries while waiting on a future, which
-///   makes nested submit-and-wait safe on pool threads.
-/// - The destructor drains every queue, then stops and joins every worker
-///   (clean shutdown: no submitted task is dropped).
-///
-/// A pool constructed with 0 or 1 threads runs everything inline on the
-/// calling thread — the serial fallback used for debugging.
 /// Run `body(i)` for i in [0, n) on the calling thread, feeding the same
 /// "exec.tasks_total" / "exec.task_seconds" instruments the pool's workers
 /// do. The serial dispatch paths use this so the task counter means "tasks
@@ -45,6 +18,16 @@ namespace hadas::exec {
 void run_serial_instrumented(std::size_t n,
                              const std::function<void(std::size_t)>& body);
 
+/// Fixed-size worker pool with a shared FIFO task queue.
+///
+/// - `parallel_for` blocks until every iteration ran; the calling thread
+///   participates in the work, so nested parallel_for calls (a task that
+///   itself fans out) cannot deadlock even with a single worker.
+/// - The destructor drains the queue, then stops and joins every worker
+///   (clean shutdown: no queued task is dropped).
+///
+/// A pool constructed with 0 or 1 threads runs everything inline on the
+/// calling thread — the serial fallback used for debugging.
 class ThreadPool {
  public:
   explicit ThreadPool(std::size_t threads);
@@ -56,65 +39,20 @@ class ThreadPool {
   /// Worker count (0 = inline execution).
   std::size_t size() const { return workers_.size(); }
 
-  /// True when the calling thread is one of this pool's workers.
-  bool on_worker_thread() const;
-
-  /// Queue a task and return a future for its result. Throws
-  /// std::runtime_error after shutdown has begun. With no workers the task
-  /// runs inline before returning.
-  template <typename F>
-  auto submit(F fn) -> std::future<std::invoke_result_t<F&>> {
-    using R = std::invoke_result_t<F&>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::move(fn));
-    std::future<R> future = task->get_future();
-    post([task] { (*task)(); });
-    return future;
-  }
-
   /// Run `body(i)` for every i in [0, n). Iterations are claimed from an
   /// atomic counter by the caller plus up to size() workers; the call
   /// returns once all n ran. The first exception thrown by any iteration is
   /// rethrown here (remaining iterations still run to completion).
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
-  /// Execute one queued task on the calling thread if any is pending.
-  bool run_pending_task();
-
-  /// Cooperative future wait: drains pending tasks while the future is not
-  /// ready, then returns future.get(). Safe to call from a worker.
-  template <typename T>
-  T wait(std::future<T> future) {
-    while (future.wait_for(std::chrono::seconds(0)) !=
-           std::future_status::ready) {
-      if (!run_pending_task())
-        future.wait_for(std::chrono::microseconds(100));
-    }
-    return future.get();
-  }
-
  private:
-  /// One work deque with its own lock. The owner pushes/pops at the back
-  /// (LIFO); thieves and drains take from the front (FIFO), so the oldest
-  /// task migrates first and a stolen subtree stays with the thief.
-  struct WorkQueue {
-    std::mutex mutex;
-    std::deque<std::function<void()>> tasks;
-  };
-
   void post(std::function<void()> task);
-  void worker_loop(std::size_t index);
-  /// Own deque -> injection queue -> steal, in that order. On success the
-  /// global pending count has been decremented and `task` holds the work.
-  bool try_get_task(std::size_t index, std::function<void()>& task);
-  bool pop_front(WorkQueue& q, std::function<void()>& task);
-  bool pop_back(WorkQueue& q, std::function<void()>& task);
+  void worker_loop();
 
-  std::vector<std::unique_ptr<WorkQueue>> local_;  // one per worker
-  WorkQueue injection_;                            // external submissions
-  std::atomic<std::size_t> pending_{0};            // tasks in any queue
-  std::atomic<bool> stop_{false};
-  mutable std::mutex sleep_mutex_;  // guards cv_ sleep/wake handshake only
+  std::mutex mutex_;
   std::condition_variable cv_;
+  std::deque<std::function<void()>> queue_;
+  bool stop_ = false;
   std::vector<std::thread> workers_;
 };
 

@@ -355,3 +355,42 @@ TEST(Nsga2, GoldenFingerprints) {
 }
 
 }  // namespace
+
+namespace hadas {
+namespace {
+
+using core::IntGenome;
+
+/// reset_mutation with per-gene probability 1: the new value must never
+/// equal the old one, must stay in range, and must be uniform over the
+/// card-1 alternatives (the draw-and-shift construction is exact, not
+/// approximate — but we smoke-test the distribution anyway).
+TEST(ResetMutation, ExcludesCurrentValueAndIsUniform) {
+  util::Rng rng(555);
+  const std::vector<std::size_t> card = {5};
+  std::vector<std::size_t> counts(5, 0);
+  const std::size_t draws = 20000;
+  for (std::size_t i = 0; i < draws; ++i) {
+    IntGenome g = {2};
+    core::reset_mutation(g, card, 1.0, rng);
+    ASSERT_GE(g[0], 0);
+    ASSERT_LT(g[0], 5);
+    ASSERT_NE(g[0], 2) << "mutation returned the unchanged value";
+    ++counts[static_cast<std::size_t>(g[0])];
+  }
+  EXPECT_EQ(counts[2], 0u);
+  const double expected = static_cast<double>(draws) / 4.0;
+  for (std::size_t v : {0u, 1u, 3u, 4u})
+    EXPECT_NEAR(static_cast<double>(counts[v]), expected, expected * 0.05);
+}
+
+TEST(ResetMutation, CardinalityOneGeneIsNeverTouched) {
+  util::Rng rng(7);
+  IntGenome g = {0, 3};
+  core::reset_mutation(g, {1, 7}, 1.0, rng);
+  EXPECT_EQ(g[0], 0);  // no alternative value exists
+  EXPECT_NE(g[1], 3);
+}
+
+}  // namespace
+}  // namespace hadas

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -49,17 +50,50 @@ TEST(NonDominatedSort, KnownFronts) {
 
 TEST(NonDominatedSort, PartitionsAllPoints) {
   hadas::util::Rng rng(2);
-  std::vector<Objectives> points(60);
-  for (auto& p : points) p = {rng.uniform(), rng.uniform()};
-  const auto fronts = non_dominated_sort(points);
-  std::size_t total = 0;
-  for (const auto& front : fronts) total += front.size();
-  EXPECT_EQ(total, points.size());
-  // No member of front k may dominate a member of front j < k.
-  for (std::size_t k = 1; k < fronts.size(); ++k)
-    for (std::size_t idx_lo : fronts[k])
-      for (std::size_t idx_hi : fronts[k - 1])
-        EXPECT_FALSE(dominates(points[idx_lo], points[idx_hi]));
+  std::vector<std::vector<Objectives>> inputs;
+  std::vector<Objectives> uniform(60);
+  for (auto& p : uniform) p = {rng.uniform(), rng.uniform()};
+  inputs.push_back(uniform);
+  std::vector<Objectives> grid(60);  // small integer grid: ties, duplicates
+  for (auto& p : grid)
+    p = {static_cast<double>(rng.uniform_index(4)),
+         static_cast<double>(rng.uniform_index(4)),
+         static_cast<double>(rng.uniform_index(3))};
+  inputs.push_back(grid);
+  std::vector<Objectives> chain, antichain, duplicates;
+  for (int i = 0; i < 40; ++i) {
+    chain.push_back({static_cast<double>(i % 2 ? i : 40 - i),
+                     static_cast<double>(i % 2 ? i : 40 - i)});
+    antichain.push_back({static_cast<double>(i), -static_cast<double>(i)});
+    duplicates.push_back({1.0, 2.0, 3.0});
+  }
+  inputs.push_back(chain);
+  inputs.push_back(antichain);
+  inputs.push_back(duplicates);
+
+  for (const auto& points : inputs) {
+    const auto fronts = non_dominated_sort(points);
+    std::size_t total = 0;
+    for (std::size_t k = 0; k < fronts.size(); ++k) {
+      const auto& front = fronts[k];
+      total += front.size();
+      EXPECT_TRUE(std::is_sorted(front.begin(), front.end()));
+      for (std::size_t a : front)
+        for (std::size_t b : front) EXPECT_FALSE(dominates(points[a], points[b]));
+      // Every member of front k > 0 has a dominator in front k - 1.
+      if (k == 0) continue;
+      for (std::size_t idx : front) {
+        bool dominated = false;
+        for (std::size_t up : fronts[k - 1])
+          dominated |= dominates(points[up], points[idx]);
+        EXPECT_TRUE(dominated);
+      }
+    }
+    EXPECT_EQ(total, points.size());
+  }
+  EXPECT_EQ(non_dominated_sort(inputs[2]).size(), 40u);  // chain: one per front
+  EXPECT_EQ(non_dominated_sort(inputs[3]).size(), 1u);
+  EXPECT_EQ(non_dominated_sort(inputs[4]).size(), 1u);   // equal points tie
 }
 
 TEST(NonDominatedSort, EmptyAndSingleton) {

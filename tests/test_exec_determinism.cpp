@@ -81,10 +81,10 @@ TEST(ExecDeterminism, ParallelRunMatchesSerialForTwoSeeds) {
   }
 }
 
-TEST(ExecDeterminism, WorkStealingPoolIdenticalAtOneTwoFourThreads) {
-  // The per-worker-deque pool steals tasks in whatever order siblings run
-  // dry, so execution order is scheduling-dependent; results must not be.
-  // Dispatcher merges by index, so 1/2/4 threads must agree bitwise.
+TEST(ExecDeterminism, PoolIdenticalAtOneTwoFourThreads) {
+  // Pool workers claim iterations in whatever order they wake, so execution
+  // order is scheduling-dependent; results must not be. Dispatcher merges
+  // by index, so 1/2/4 threads must agree bitwise.
   core::HadasEngine one(space(), hw::Target::kTx2PascalGpu,
                         exec_test_config(31, 1));
   core::HadasEngine two(space(), hw::Target::kTx2PascalGpu,
