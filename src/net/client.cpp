@@ -219,52 +219,59 @@ bool ServeClient::step() {
   // A dead pump still leaves decoded frames behind (the server's last flush
   // before closing — a final ack or a completed-session WELCOME): drain them
   // before deciding whether to reconnect.
-  const bool alive = transport_.pump(writer_);
-  try {
-    std::optional<Frame> frame;
-    while ((frame = transport_.next())) {
-      progress = true;
-      if (frame->type == FrameType::kRefuse) {
-        throw ProtocolError("ServeClient: server refused session '" +
-                            config_.session_id + "': " + frame->payload);
-      } else if (!handshaken_) {
-        if (frame->type != FrameType::kWelcome)
+  bool alive = transport_.pump(writer_);
+  for (;;) {
+    try {
+      std::optional<Frame> frame;
+      while ((frame = transport_.next())) {
+        progress = true;
+        if (frame->type == FrameType::kRefuse) {
+          throw ProtocolError("ServeClient: server refused session '" +
+                              config_.session_id + "': " + frame->payload);
+        } else if (!handshaken_) {
+          if (frame->type != FrameType::kWelcome)
+            throw ProtocolError(
+                std::string("ServeClient: expected welcome, got '") +
+                frame_type_name(frame->type) + "'");
+          handle_welcome(*frame);
+          if (done_) return true;
+        } else if (frame->type == FrameType::kData) {
+          if (frame->payload.size() < 8)
+            throw ProtocolError("ServeClient: malformed data frame");
+          reader_.offer(get_u64(frame->payload, 0),
+                        std::string_view(frame->payload).substr(8));
+        } else if (frame->type == FrameType::kAck) {
+          writer_.ack(get_u64(frame->payload, 0));
+        } else {
           throw ProtocolError(
-              std::string("ServeClient: expected welcome, got '") +
+              std::string("ServeClient: unexpected transport frame '") +
               frame_type_name(frame->type) + "'");
-        handle_welcome(*frame);
-        if (done_) return true;
-      } else if (frame->type == FrameType::kData) {
-        if (frame->payload.size() < 8)
-          throw ProtocolError("ServeClient: malformed data frame");
-        reader_.offer(get_u64(frame->payload, 0),
-                      std::string_view(frame->payload).substr(8));
-      } else if (frame->type == FrameType::kAck) {
-        writer_.ack(get_u64(frame->payload, 0));
-      } else {
-        throw ProtocolError(
-            std::string("ServeClient: unexpected transport frame '") +
-            frame_type_name(frame->type) + "'");
+        }
       }
+      if (handshaken_) progress |= advance();
+    } catch (const FrameError&) {
+      transport_.drop();  // corrupt transport bytes: reconnect and replay
+      return true;
     }
-    if (handshaken_) progress |= advance();
-  } catch (const FrameError&) {
-    transport_.drop();  // corrupt transport bytes: reconnect and replay
-    return true;
+    // A connection that died without reaching WELCOME: a silently-rejecting
+    // (or pre-kRefuse) server would otherwise look like endless clean
+    // reconnects — count it so step() can give up loudly.
+    if (!alive && !handshaken_) ++handshake_failures_;
+    if (bye_sent_ && writer_.acked() == writer_.write_seq()) {
+      // The server durably consumed everything including BYE.
+      done_ = true;
+      transport_.drop();
+      std::error_code ec;
+      std::filesystem::remove(config_.state_path, ec);
+      return true;
+    }
+    // Flush what advance() queued. A pump that finds the connection closed
+    // may already have decoded the server's last frames (the ack of our
+    // BYE): go round once more so they are handled here, before the next
+    // step() reconnects and attach() discards them.
+    if (!alive || !transport_.attached() || transport_.pump(writer_)) break;
+    alive = false;
   }
-  // A connection that died without reaching WELCOME: a silently-rejecting
-  // (or pre-kRefuse) server would otherwise look like endless clean
-  // reconnects — count it so step() can give up loudly.
-  if (!alive && !handshaken_) ++handshake_failures_;
-  if (bye_sent_ && writer_.acked() == writer_.write_seq()) {
-    // The server durably consumed everything including BYE.
-    done_ = true;
-    transport_.drop();
-    std::error_code ec;
-    std::filesystem::remove(config_.state_path, ec);
-    return true;
-  }
-  if (alive && transport_.attached()) transport_.pump(writer_);
   return progress || !alive;
 }
 

@@ -1,12 +1,14 @@
 // The in-process loopback transport and the daemon/client session protocol
 // over it: fake-pipe socket semantics, happy-path serving with a scripted
 // ServeService, multi-client multiplexing, the flaky wrapper's seeded sever
-// schedule, net metrics registration, and a two-thread run()/run() exercise
-// (the TSan target for this subsystem).
+// schedule, the daemon's final ack arriving together with its close, net
+// metrics registration, and a two-thread run()/run() exercise (the TSan
+// target for this subsystem).
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -183,6 +185,66 @@ TEST(NetLoopback, HappyPathServesOneSession) {
   // Both journals were deleted on completion.
   EXPECT_FALSE(std::filesystem::exists(loop.dir + "/client-alice.json"));
   EXPECT_FALSE(std::filesystem::exists(loop.dir + "/session-alice.json"));
+}
+
+/// Client-side sockets that let the daemon take a step after every write:
+/// the interleaving of a daemon thread that answers the client's BYE and
+/// closes while the client is still inside the pump that sent it.
+class EagerPeerHandler : public net::SocketHandler {
+ public:
+  EagerPeerHandler(net::SocketHandler& inner, std::function<void()> peer_step)
+      : inner_(inner), peer_step_(std::move(peer_step)) {}
+
+  int listen(const util::HostPort& addr) override { return inner_.listen(addr); }
+  std::unique_ptr<net::Socket> accept(int listener) override {
+    return inner_.accept(listener);
+  }
+  void close_listener(int listener) override { inner_.close_listener(listener); }
+  std::unique_ptr<net::Socket> connect(const util::HostPort& addr) override {
+    return std::make_unique<Eager>(inner_.connect(addr), peer_step_);
+  }
+  void wait(int timeout_ms) override { inner_.wait(timeout_ms); }
+
+ private:
+  class Eager : public net::Socket {
+   public:
+    Eager(std::unique_ptr<net::Socket> inner, std::function<void()> peer_step)
+        : inner_(std::move(inner)), peer_step_(std::move(peer_step)) {}
+    std::size_t read(char* buf, std::size_t n) override {
+      return inner_->read(buf, n);
+    }
+    std::size_t write(const char* buf, std::size_t n) override {
+      const std::size_t put = inner_->write(buf, n);
+      if (put > 0) peer_step_();
+      return put;
+    }
+    void close() override { inner_->close(); }
+    bool open() const override { return inner_->open(); }
+
+   private:
+    std::unique_ptr<net::Socket> inner_;
+    std::function<void()> peer_step_;
+  };
+
+  net::SocketHandler& inner_;
+  std::function<void()> peer_step_;
+};
+
+// The daemon's ack of BYE and its close can both land in the client's last
+// pump of a step. The client must act on that ack rather than reconnect: a
+// `once` daemon has already exited and would never accept the reconnect.
+TEST(NetLoopback, FinalAckArrivingWithTheCloseFinishesTheClient) {
+  Loopback loop("final_ack");
+  ServeDaemon daemon(loop.handler, loop.service, loop.daemon_config());
+  daemon.start();
+  EagerPeerHandler eager(loop.handler, [&] { daemon.step(); });
+  ServeClient client(eager, loop.client_config("final_ack", 120));
+
+  ASSERT_TRUE(drive(daemon, client));
+  EXPECT_EQ(client.reconnects(), 0u);
+  EXPECT_EQ(daemon.sessions_completed(), 1u);
+  EXPECT_EQ(client.report(),
+            expected_report(loop.service, loop.client_config("x", 120)));
 }
 
 TEST(NetLoopback, ManyClientsMultiplexOnOneDaemon) {

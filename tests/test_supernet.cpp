@@ -155,6 +155,10 @@ struct KnobCase {
   BackboneConfig (*bump)(BackboneConfig);
 };
 
+// Without this gtest prints the raw pointer bytes, so the listed test names
+// changed with every run's address-space layout.
+void PrintTo(const KnobCase& c, std::ostream* os) { *os << c.name; }
+
 BackboneConfig bump_res(BackboneConfig c) { c.resolution = 224; return c; }
 BackboneConfig bump_width(BackboneConfig c) { c.stages[4].width = 128; return c; }
 BackboneConfig bump_depth(BackboneConfig c) { c.stages[4].depth += 1; return c; }
