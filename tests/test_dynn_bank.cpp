@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "data/synthetic_task.hpp"
 #include "dynn/exit_bank.hpp"
+#include "exec/dispatcher.hpp"
 #include "supernet/baselines.hpp"
 #include "test_helpers.hpp"
 #include "util/statistics.hpp"
@@ -21,6 +28,51 @@ struct BankFixture {
 BankFixture& fx() {
   static BankFixture f;
   return f;
+}
+
+void expect_same_exit(const dynn::TrainedExit& a, const dynn::TrainedExit& b,
+                      const std::string& where) {
+  EXPECT_EQ(a.layer, b.layer) << where;
+  EXPECT_EQ(a.depth_fraction, b.depth_fraction) << where;
+  EXPECT_EQ(a.val_accuracy, b.val_accuracy) << where;
+  EXPECT_EQ(a.val_correct, b.val_correct) << where;
+  EXPECT_EQ(a.test_correct, b.test_correct) << where;
+  EXPECT_EQ(a.val_entropy, b.val_entropy) << where;
+  EXPECT_EQ(a.test_entropy, b.test_entropy) << where;
+  EXPECT_EQ(a.test_max_prob, b.test_max_prob) << where;
+}
+
+void expect_same_bank(const dynn::ExitBank& a, const dynn::ExitBank& b,
+                      const std::string& what) {
+  ASSERT_EQ(a.eligible_layers(), b.eligible_layers()) << what;
+  expect_same_exit(a.final_exit(), b.final_exit(), what + ", final exit");
+  for (std::size_t layer : a.eligible_layers())
+    expect_same_exit(a.exit_at(layer), b.exit_at(layer),
+                     what + ", layer " + std::to_string(layer));
+}
+
+/// FNV-1a over every recorded field of every head, final exit first.
+std::uint64_t bank_fingerprint(const dynn::ExitBank& bank) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  auto mix_exit = [&](const dynn::TrainedExit& e) {
+    mix(e.layer);
+    mix(std::bit_cast<std::uint64_t>(e.depth_fraction));
+    mix(std::bit_cast<std::uint64_t>(e.val_accuracy));
+    for (bool b : e.val_correct) mix(b);
+    for (bool b : e.test_correct) mix(b);
+    for (double v : e.val_entropy) mix(std::bit_cast<std::uint64_t>(v));
+    for (double v : e.test_entropy) mix(std::bit_cast<std::uint64_t>(v));
+    for (double v : e.test_max_prob) mix(std::bit_cast<std::uint64_t>(v));
+  };
+  mix_exit(bank.final_exit());
+  for (std::size_t layer : bank.eligible_layers()) mix_exit(bank.exit_at(layer));
+  return h;
 }
 
 TEST(ExitBank, EligibleLayersAreContiguousWindow) {
@@ -140,6 +192,24 @@ TEST(ExitBank, DeterministicForSameSeed) {
   const dynn::ExitBank b(fx().task, fx().cost, 6.0, config);
   EXPECT_EQ(a.backbone_accuracy(), b.backbone_accuracy());
   EXPECT_EQ(a.exit_at(6).val_accuracy, b.exit_at(6).val_accuracy);
+}
+
+TEST(ExitBank, ParallelHeadsMatchSerialBitForBit) {
+  // The serial bank is pinned to the bytes of the one-head-at-a-time
+  // construction; a bank built inside a pool task must reproduce it exactly.
+  const dynn::ExitBank& serial = fx().bank;
+  EXPECT_EQ(bank_fingerprint(serial), 0x3f23497bffad3efdULL);
+  const dynn::ExitBankConfig config = hadas::test::small_bank();
+  exec::ExecConfig exec_config;
+  exec_config.threads = 2;
+  const exec::ParallelDispatcher dispatcher(exec_config);
+  std::vector<std::unique_ptr<dynn::ExitBank>> nested(2);
+  dispatcher.for_each(nested.size(), [&](std::size_t i) {
+    nested[i] =
+        std::make_unique<dynn::ExitBank>(fx().task, fx().cost, 6.5, config);
+  });
+  for (std::size_t i = 0; i < nested.size(); ++i)
+    expect_same_bank(serial, *nested[i], "pool task " + std::to_string(i));
 }
 
 TEST(ExitBank, HigherSeparabilityLiftsExits) {
