@@ -142,8 +142,11 @@ const HadasEngine::BankEntry& HadasEngine::bank_entry(
   bank_config.seed = config_.bank.seed ^ key;  // per-backbone determinism
 
   BankEntry entry;
-  entry.bank =
-      std::make_unique<dynn::ExitBank>(task_, cost, separability, bank_config);
+  {
+    const obs::TraceSpan span("bank.build", "search");
+    entry.bank = std::make_unique<dynn::ExitBank>(task_, cost, separability,
+                                                  bank_config, &dispatcher_);
+  }
   entry.cost = std::make_unique<dynn::MultiExitCostTable>(
       cost, static_eval_.hardware());
   if (static_eval_.robust().active())

@@ -64,8 +64,9 @@ struct HadasConfig {
   /// resume). Empty = stderr.
   std::function<void(const std::string&)> checkpoint_warn;
   /// Parallel-execution knobs: per-generation static evaluations and the
-  /// per-generation IOE runs are dispatched over `exec.threads` workers
-  /// (0 = auto, 1 = serial fallback; HADAS_THREADS overrides). The result
+  /// per-generation IOE runs are dispatched over `exec.threads` workers,
+  /// which also train the exit heads of each IOE's bank (0 = auto,
+  /// 1 = serial fallback; HADAS_THREADS overrides). The result
   /// is bit-identical at any thread count — see DESIGN.md "Parallel
   /// execution" for the determinism contract.
   exec::ExecConfig exec;

@@ -265,7 +265,8 @@ FleetDeployment MultiDeviceEngine::fleet_deployment(
 
   FleetDeployment deployment;
   deployment.bank = std::make_unique<dynn::ExitBank>(
-      task_, cost, data::separability_from_accuracy(accuracy), bank_config);
+      task_, cost, data::separability_from_accuracy(accuracy), bank_config,
+      &dispatcher_);
   deployment.placement = solution.placement;
   deployment.settings = solution.settings;
 
@@ -413,8 +414,9 @@ MultiDeviceResult MultiDeviceEngine::search(const std::vector<std::size_t>& aliv
         devices_[alive.front()].static_eval->surrogate().accuracy(backbone);
     dynn::ExitBankConfig bank_config = config_.bank;
     bank_config.seed ^= backbone_key;
-    const dynn::ExitBank bank(
-        task_, cost, data::separability_from_accuracy(accuracy), bank_config);
+    const dynn::ExitBank bank(task_, cost,
+                              data::separability_from_accuracy(accuracy),
+                              bank_config, &dispatcher_);
 
     std::vector<std::unique_ptr<dynn::MultiExitCostTable>> tables;
     std::vector<std::unique_ptr<dynn::DynamicEvaluator>> evaluators;

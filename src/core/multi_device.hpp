@@ -27,8 +27,9 @@ struct MultiDeviceConfig {
   data::DataConfig data;
   std::uint64_t seed = 4242;
   /// Parallel execution: per-device static measurements run one device per
-  /// task, and the per-elite joint inner searches run concurrently. Results
-  /// are bit-identical at any thread count.
+  /// task, the per-elite joint inner searches run concurrently, and each
+  /// elite's exit heads train on the same workers. Results are bit-identical
+  /// at any thread count.
   exec::ExecConfig exec;
   /// Per-device fault-tolerance configs. Empty = no robust layer anywhere;
   /// otherwise must have one entry per target (in target order). A device

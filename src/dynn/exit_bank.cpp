@@ -3,7 +3,9 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "exec/dispatcher.hpp"
 #include "nn/losses.hpp"
+#include "obs/trace.hpp"
 #include "util/mathutil.hpp"
 #include "util/rng.hpp"
 
@@ -40,49 +42,66 @@ double effective_depth_fraction(double depth_fraction, int input_resolution) {
 }
 
 namespace {
-struct TrainedHead {
+/// One head ready to fit: its tap and the state it drew from the bank Rng.
+struct HeadJob {
+  std::size_t layer = 0;
+  double depth_fraction = 0.0;
+  double separability = 0.0;
   nn::MlpClassifier model;
-  TrainedExit record;
+  std::uint64_t shuffle_seed = 0;
 };
 
-TrainedHead train_head(const data::SyntheticTask& task, std::size_t layer,
-                       double depth_fraction, double separability,
-                       const ExitBankConfig& config,
-                       const nn::Matrix* teacher_train_logits,
-                       hadas::util::Rng& rng) {
+/// The only bank-Rng draws a head makes: He-init weights, then its shuffle
+/// seed. Making them serially in bank order keeps the bytes independent of
+/// how the fits are scheduled.
+HeadJob draw_head(const data::SyntheticTask& task, std::size_t layer,
+                  double depth_fraction, double separability,
+                  const ExitBankConfig& config, hadas::util::Rng& rng) {
+  nn::MlpClassifier model(task.config().feature_dim, config.head_hidden,
+                          task.config().num_classes, rng);
+  const std::uint64_t shuffle_seed = rng.next_u64();
+  return {layer, depth_fraction, separability, std::move(model), shuffle_seed};
+}
+
+/// Trains `job.model` in place and measures it. Touches no shared mutable
+/// state beyond the task's mutex-guarded noise cache, so distinct jobs may
+/// run concurrently.
+TrainedExit fit_head(const data::SyntheticTask& task, HeadJob& job,
+                     const ExitBankConfig& config,
+                     const nn::Matrix* teacher_train_logits) {
+  const obs::TraceSpan span("bank.head_fit", "search");
   nn::FeatureDataset train =
-      task.dataset(data::Split::kTrain, depth_fraction, separability);
+      task.dataset(data::Split::kTrain, job.depth_fraction, job.separability);
   const nn::FeatureDataset val =
-      task.dataset(data::Split::kVal, depth_fraction, separability);
+      task.dataset(data::Split::kVal, job.depth_fraction, job.separability);
   const nn::FeatureDataset test =
-      task.dataset(data::Split::kTest, depth_fraction, separability);
+      task.dataset(data::Split::kTest, job.depth_fraction, job.separability);
   if (teacher_train_logits != nullptr) train.teacher_logits = *teacher_train_logits;
 
-  nn::MlpClassifier head(task.config().feature_dim, config.head_hidden,
-                         task.config().num_classes, rng);
   nn::TrainConfig tc = config.train;
-  tc.shuffle_seed = rng.next_u64();
+  tc.shuffle_seed = job.shuffle_seed;
   if (teacher_train_logits == nullptr) tc.kd_weight = 0.0;  // the teacher itself
-  nn::Trainer(tc).fit(head, train, val);
+  nn::Trainer(tc).fit(job.model, train, val);
 
   TrainedExit record;
-  record.layer = layer;
-  record.depth_fraction = depth_fraction;
-  const nn::Matrix val_logits = head.forward(val.features);
+  record.layer = job.layer;
+  record.depth_fraction = job.depth_fraction;
+  const nn::Matrix val_logits = job.model.forward(val.features);
   record.val_correct = nn::correct_mask(val_logits, val.labels);
   record.val_accuracy = nn::accuracy(val_logits, val.labels);
   record.val_entropy = nn::row_normalized_entropy(val_logits);
-  const nn::Matrix test_logits = head.forward(test.features);
+  const nn::Matrix test_logits = job.model.forward(test.features);
   record.test_correct = nn::correct_mask(test_logits, test.labels);
   record.test_entropy = nn::row_normalized_entropy(test_logits);
   record.test_max_prob = nn::row_max_prob(test_logits);
-  return {std::move(head), std::move(record)};
+  return record;
 }
 }  // namespace
 
 ExitBank::ExitBank(const data::SyntheticTask& task,
                    const supernet::NetworkCost& cost, double separability,
-                   const ExitBankConfig& config)
+                   const ExitBankConfig& config,
+                   const exec::ParallelDispatcher* dispatcher)
     : total_layers_(cost.num_mbconv_layers()),
       first_eligible_(ExitPlacement::kFirstEligible) {
   if (total_layers_ < first_eligible_ + 2)
@@ -91,27 +110,39 @@ ExitBank::ExitBank(const data::SyntheticTask& task,
   hadas::util::Rng rng(config.seed);
 
   // 1) Teacher: the backbone's final classifier at full depth, no KD.
-  TrainedHead teacher = train_head(task, total_layers_ - 1, 1.0, separability,
-                                   config, nullptr, rng);
-  final_ = std::move(teacher.record);
+  HeadJob teacher =
+      draw_head(task, total_layers_ - 1, 1.0, separability, config, rng);
+  final_ = fit_head(task, teacher, config, nullptr);
   const nn::Matrix teacher_logits = teacher.model.forward(
       task.features(data::Split::kTrain, 1.0, separability));
 
   // 2) Every eligible exit position, shallow to deep, distilled from the
   //    teacher per eq. (4). The backbone (feature generator) stays frozen.
   //    Each tap's effective separability is scaled by its architecture
-  //    quality (channel richness / downsampling at the tap).
+  //    quality (channel richness / downsampling at the tap). All Rng draws
+  //    happen here, serially, before any head is fitted.
   const std::size_t eligible = total_layers_ - 1 - first_eligible_;
-  exits_.reserve(eligible);
+  std::vector<HeadJob> jobs;
+  jobs.reserve(eligible);
   for (std::size_t i = 0; i < eligible; ++i) {
     const std::size_t layer = first_eligible_ + i;
     const double t = cost.depth_fraction(layer);
     const double t_eff = effective_depth_fraction(t, cost.input_resolution);
     const double tap_sep =
         separability * tap_quality_multiplier(cost.mbconv_layer(layer), t);
-    exits_.push_back(
-        train_head(task, layer, t_eff, tap_sep, config, &teacher_logits, rng)
-            .record);
+    jobs.push_back(draw_head(task, layer, t_eff, tap_sep, config, rng));
+  }
+
+  // 3) Given the frozen teacher the heads are independent: fit them on the
+  //    dispatcher's pool, or inline in index order without one.
+  auto body = [&](std::size_t i) {
+    return fit_head(task, jobs[i], config, &teacher_logits);
+  };
+  if (dispatcher != nullptr) {
+    exits_ = dispatcher->map(eligible, body);
+  } else {
+    exits_.reserve(eligible);
+    for (std::size_t i = 0; i < eligible; ++i) exits_.push_back(body(i));
   }
 }
 

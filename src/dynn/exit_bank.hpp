@@ -10,6 +10,10 @@
 #include "nn/trainer.hpp"
 #include "supernet/cost_model.hpp"
 
+namespace hadas::exec {
+class ParallelDispatcher;
+}
+
 namespace hadas::dynn {
 
 /// Training configuration for one backbone's exit bank.
@@ -65,9 +69,14 @@ class ExitBank {
  public:
   /// Trains the final (teacher) head and every eligible exit head.
   /// `separability` is the backbone's feature quality (see
-  /// data::separability_from_accuracy).
+  /// data::separability_from_accuracy). With a `dispatcher` the exit heads
+  /// are fitted concurrently on its pool (the teacher always trains first);
+  /// without one they are fitted inline. Every head draws its init weights
+  /// and shuffle seed from the bank Rng serially before any fit starts, so
+  /// the bank is bit-identical either way and at any thread count.
   ExitBank(const data::SyntheticTask& task, const supernet::NetworkCost& cost,
-           double separability, const ExitBankConfig& config);
+           double separability, const ExitBankConfig& config,
+           const exec::ParallelDispatcher* dispatcher = nullptr);
 
   std::size_t total_layers() const { return total_layers_; }
 

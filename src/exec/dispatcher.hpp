@@ -14,9 +14,9 @@ namespace hadas::exec {
 
 /// Execution knobs carried by the engine configurations.
 struct ExecConfig {
-  /// Worker threads for per-generation static evaluations and concurrent
-  /// IOE runs. 0 = auto (hardware concurrency), 1 = serial (the debugging
-  /// fallback). The HADAS_THREADS environment variable, when set to a
+  /// Worker threads for per-generation static evaluations, concurrent
+  /// IOE runs and the exit-head fits of each bank those IOEs train.
+  /// 0 = auto (hardware concurrency), 1 = serial (the debugging fallback). The HADAS_THREADS environment variable, when set to a
   /// positive integer, overrides this value.
   std::size_t threads = 0;
   /// Capacity of each memoized evaluation cache (entries; 0 = unbounded).

@@ -25,6 +25,8 @@ Matrix gather_rows(const Matrix& m, const std::vector<std::size_t>& idx,
 TrainResult Trainer::fit(MlpClassifier& head, const FeatureDataset& train,
                          const FeatureDataset& val) const {
   if (train.size() == 0) throw std::invalid_argument("Trainer: empty train set");
+  if (config_.batch_size == 0)
+    throw std::invalid_argument("Trainer: batch_size must be positive");
   if (train.labels.size() != train.size())
     throw std::invalid_argument("Trainer: label count mismatch");
   const bool use_kd =

@@ -195,21 +195,31 @@ TEST(ExitBank, DeterministicForSameSeed) {
 }
 
 TEST(ExitBank, ParallelHeadsMatchSerialBitForBit) {
-  // The serial bank is pinned to the bytes of the one-head-at-a-time
-  // construction; a bank built inside a pool task must reproduce it exactly.
+  // The inline bank (no dispatcher) is pinned by a golden fingerprint; every
+  // parallel build must reproduce it exactly.
   const dynn::ExitBank& serial = fx().bank;
   EXPECT_EQ(bank_fingerprint(serial), 0x3f23497bffad3efdULL);
   const dynn::ExitBankConfig config = hadas::test::small_bank();
+  for (std::size_t threads : {2, 4}) {
+    exec::ExecConfig exec_config;
+    exec_config.threads = threads;
+    const exec::ParallelDispatcher dispatcher(exec_config);
+    const dynn::ExitBank parallel(fx().task, fx().cost, 6.5, config, &dispatcher);
+    expect_same_bank(serial, parallel,
+                     std::to_string(dispatcher.threads()) + " threads");
+  }
+  // Nested: each bank's head fan-out runs inside an outer task of the same
+  // pool, as the engines do inside their IOE fan-out.
   exec::ExecConfig exec_config;
   exec_config.threads = 2;
   const exec::ParallelDispatcher dispatcher(exec_config);
   std::vector<std::unique_ptr<dynn::ExitBank>> nested(2);
   dispatcher.for_each(nested.size(), [&](std::size_t i) {
-    nested[i] =
-        std::make_unique<dynn::ExitBank>(fx().task, fx().cost, 6.5, config);
+    nested[i] = std::make_unique<dynn::ExitBank>(fx().task, fx().cost, 6.5,
+                                                 config, &dispatcher);
   });
   for (std::size_t i = 0; i < nested.size(); ++i)
-    expect_same_bank(serial, *nested[i], "pool task " + std::to_string(i));
+    expect_same_bank(serial, *nested[i], "nested task " + std::to_string(i));
 }
 
 TEST(ExitBank, HigherSeparabilityLiftsExits) {

@@ -99,6 +99,22 @@ TEST(Trainer, ThrowsOnEmptyOrInconsistentData) {
   EXPECT_THROW(Trainer(config).fit(head, bad, bad), std::invalid_argument);
 }
 
+TEST(Trainer, ZeroBatchSizeIsRejected) {
+  // A 0-row batch makes the mean NLL 0 * (1/0) = NaN; without the up-front
+  // check the NaN guard would misreport it as divergence.
+  const auto train = make_task(50, 3, 5, 2.0, 17);
+  TrainConfig config;
+  config.batch_size = 0;
+  hadas::util::Rng rng(18);
+  MlpClassifier head(5, 0, 3, rng);
+  try {
+    (void)Trainer(config).fit(head, train, train);
+    FAIL() << "batch_size 0 not rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "Trainer: batch_size must be positive");
+  }
+}
+
 TEST(Trainer, EvaluateMatchesAccuracyDefinition) {
   const auto data = make_task(100, 3, 5, 5.0, 15);
   hadas::util::Rng rng(16);
