@@ -515,6 +515,23 @@ bool NetWorker::step() {
         std::to_string(config_.connect.port) + " dropped " +
         std::to_string(handshake_failures_) +
         " consecutive connections before completing a handshake");
+  // The pump that saw the last connection close (in beat() or the flush at
+  // the end of step()) may have decoded the coordinator's last frames with
+  // it: the ack of our result, after which a coordinator holding every
+  // result exits. Take that ack before try_connect()'s attach() discards it.
+  if (handshaken_ && !transport_.attached()) {
+    try {
+      while (std::optional<net::Frame> frame = transport_.next())
+        if (frame->type == net::FrameType::kAck)
+          writer_.ack(net::get_u64(frame->payload, 0));
+    } catch (const net::FrameError&) {
+      // A corrupt tail of the dead connection: the next handshake replays.
+    }
+    if (final_sent_ && writer_.acked() == writer_.write_seq()) {
+      complete();
+      return true;
+    }
+  }
   // A failed dial does NOT end the step: a worker holding the spec keeps
   // computing rounds while the coordinator is unreachable.
   const bool online = transport_.attached() || try_connect();

@@ -21,6 +21,7 @@
 #include "dist/island.hpp"
 #include "dist/net_transport.hpp"
 #include "dist/worker.hpp"
+#include "eager_peer.hpp"
 #include "net/backed_stream.hpp"
 #include "net/fake_socket.hpp"
 #include "net/frame.hpp"
@@ -313,6 +314,30 @@ TEST(DistNet, CoordinatorKilledAndRestartedResumes) {
     if (tick == 2 || tick == 6) fleet.respawn_coordinator();
   }));
   EXPECT_EQ(fleet.merged(), reference_front(2));
+}
+
+// The coordinator's ack of an island's result and its close can both land in
+// the worker's last pump of a step. The worker must act on that ack rather
+// than reconnect: a coordinator holding every result has exited and never
+// accepts the reconnect.
+TEST(DistNet, FinalAckArrivingWithTheCloseFinishesTheWorker) {
+  Fleet fleet("final_ack", 1);
+  hadas::test::EagerPeerHandler eager(*fleet.handler, [&] {
+    if (fleet.coordinator) fleet.coordinator->step(fleet.report);
+  });
+  fleet.handler = &eager;
+  fleet.workers[0] = fleet.make_worker(0);
+  NetWorker& worker = *fleet.workers[0];
+  for (int tick = 0; tick < 200000 && !worker.done(); ++tick) {
+    if (fleet.coordinator) {
+      fleet.coordinator->step(fleet.report);
+      if (fleet.coordinator->finished()) fleet.coordinator.reset();
+    }
+    worker.step();
+  }
+  ASSERT_TRUE(worker.done());
+  EXPECT_EQ(worker.reconnects(), 0u);
+  EXPECT_EQ(fleet.merged(), reference_front(1));
 }
 
 TEST(DistNet, PartitionedIslandQuarantinedAndSalvaged) {

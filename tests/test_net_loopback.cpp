@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "eager_peer.hpp"
 #include "net/client.hpp"
 #include "net/fake_socket.hpp"
 #include "net/frame.hpp"
@@ -35,6 +36,7 @@ using net::FlakyConfig;
 using net::FlakySocketHandler;
 using net::ServeClient;
 using net::ServeDaemon;
+using test::EagerPeerHandler;
 
 /// Deterministic stand-in for the supervisor bridge: echoes a digest of the
 /// received trace, padded well past one report chunk so the report spans
@@ -186,49 +188,6 @@ TEST(NetLoopback, HappyPathServesOneSession) {
   EXPECT_FALSE(std::filesystem::exists(loop.dir + "/client-alice.json"));
   EXPECT_FALSE(std::filesystem::exists(loop.dir + "/session-alice.json"));
 }
-
-/// Client-side sockets that let the daemon take a step after every write:
-/// the interleaving of a daemon thread that answers the client's BYE and
-/// closes while the client is still inside the pump that sent it.
-class EagerPeerHandler : public net::SocketHandler {
- public:
-  EagerPeerHandler(net::SocketHandler& inner, std::function<void()> peer_step)
-      : inner_(inner), peer_step_(std::move(peer_step)) {}
-
-  int listen(const util::HostPort& addr) override { return inner_.listen(addr); }
-  std::unique_ptr<net::Socket> accept(int listener) override {
-    return inner_.accept(listener);
-  }
-  void close_listener(int listener) override { inner_.close_listener(listener); }
-  std::unique_ptr<net::Socket> connect(const util::HostPort& addr) override {
-    return std::make_unique<Eager>(inner_.connect(addr), peer_step_);
-  }
-  void wait(int timeout_ms) override { inner_.wait(timeout_ms); }
-
- private:
-  class Eager : public net::Socket {
-   public:
-    Eager(std::unique_ptr<net::Socket> inner, std::function<void()> peer_step)
-        : inner_(std::move(inner)), peer_step_(std::move(peer_step)) {}
-    std::size_t read(char* buf, std::size_t n) override {
-      return inner_->read(buf, n);
-    }
-    std::size_t write(const char* buf, std::size_t n) override {
-      const std::size_t put = inner_->write(buf, n);
-      if (put > 0) peer_step_();
-      return put;
-    }
-    void close() override { inner_->close(); }
-    bool open() const override { return inner_->open(); }
-
-   private:
-    std::unique_ptr<net::Socket> inner_;
-    std::function<void()> peer_step_;
-  };
-
-  net::SocketHandler& inner_;
-  std::function<void()> peer_step_;
-};
 
 // The daemon's ack of BYE and its close can both land in the client's last
 // pump of a step. The client must act on that ack rather than reconnect: a
