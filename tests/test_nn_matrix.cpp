@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
 #include "nn/matrix.hpp"
 #include "util/rng.hpp"
 
@@ -101,6 +106,62 @@ TEST(Matrix, FrobeniusNorm) {
   m.at(0, 1) = 4.0f;
   EXPECT_NEAR(m.frobenius_norm(), 5.0, 1e-12);
   EXPECT_EQ(Matrix().frobenius_norm(), 0.0);
+}
+
+/// The reference `matmul_nt` output: eight lane accumulators, a fixed
+/// combine, then a scalar tail. Any faster kernel must reproduce these bits.
+float reference_dot8(const float* a, const float* b, std::size_t n) {
+  float acc0 = 0.0f, acc1 = 0.0f, acc2 = 0.0f, acc3 = 0.0f;
+  float acc4 = 0.0f, acc5 = 0.0f, acc6 = 0.0f, acc7 = 0.0f;
+  std::size_t k = 0;
+  for (; k + 8 <= n; k += 8) {
+    acc0 += a[k + 0] * b[k + 0];
+    acc1 += a[k + 1] * b[k + 1];
+    acc2 += a[k + 2] * b[k + 2];
+    acc3 += a[k + 3] * b[k + 3];
+    acc4 += a[k + 4] * b[k + 4];
+    acc5 += a[k + 5] * b[k + 5];
+    acc6 += a[k + 6] * b[k + 6];
+    acc7 += a[k + 7] * b[k + 7];
+  }
+  float tail = 0.0f;
+  for (; k < n; ++k) tail += a[k] * b[k];
+  return (((acc0 + acc4) + (acc1 + acc5)) + ((acc2 + acc6) + (acc3 + acc7))) +
+         tail;
+}
+
+TEST(Matrix, MatmulNtBitExactAcrossShapes) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  hadas::util::Rng rng(2024);
+  std::size_t shapes = 0;
+  for (std::size_t k : {1, 5, 7, 8, 13, 32, 33, 64}) {
+    for (std::size_t n : {1, 3, 4, 5, 100, 101}) {
+      for (std::size_t m : {1, 7, 64}) {
+        Matrix a = random_matrix(m, k, rng);
+        Matrix b = random_matrix(n, k, rng);
+        // Every product of a -0.0 row with a positive row is -0.0, so those
+        // outputs are exact zeros whose sign the combine order decides.
+        for (std::size_t i = 1; i < m; i += 5)
+          for (std::size_t c = 0; c < k; ++c) a.at(i, c) = -0.0f;
+        for (std::size_t j = 0; j < n; j += 3)
+          for (std::size_t c = 0; c < k; ++c) b.at(j, c) = std::abs(b.at(j, c));
+        if (m > 2) a.at(2, 0) = kInf;
+        if (n > 4) b.at(4, k - 1) = -kInf;
+        const Matrix c = Matrix::matmul_nt(a, b);
+        ASSERT_EQ(c.rows(), m);
+        ASSERT_EQ(c.cols(), n);
+        for (std::size_t i = 0; i < m; ++i)
+          for (std::size_t j = 0; j < n; ++j)
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(c.at(i, j)),
+                      std::bit_cast<std::uint32_t>(
+                          reference_dot8(a.row_ptr(i), b.row_ptr(j), k)))
+                << "m=" << m << " n=" << n << " k=" << k << " at (" << i
+                << ", " << j << ")";
+        ++shapes;
+      }
+    }
+  }
+  EXPECT_EQ(shapes, 144u);
 }
 
 class MatmulSizeSweep
