@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "bench/fig5_data.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
@@ -14,7 +15,7 @@ using namespace hadas;
 class BenchDataTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = "/tmp/hadas_bench_data_test";
+    dir_ = scratch_.file("bench_data_test");
     std::filesystem::create_directories(dir_);
     setenv("HADAS_BENCH_OUT", dir_.c_str(), 1);
   }
@@ -22,6 +23,7 @@ class BenchDataTest : public ::testing::Test {
     unsetenv("HADAS_BENCH_OUT");
     std::filesystem::remove_all(dir_);
   }
+  const test::ScratchDir scratch_;
   std::string dir_;
 };
 

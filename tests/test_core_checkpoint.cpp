@@ -75,7 +75,8 @@ TEST(Checkpoint, RngStateRoundTripsThroughJson) {
 
 TEST(Checkpoint, CheckpointJsonRoundTripIsExact) {
   // Run a tiny search to get a real checkpoint on disk, then round-trip it.
-  const std::string path = "/tmp/hadas_ckpt_roundtrip.json";
+  const test::ScratchDir scratch;
+  const std::string path = scratch.file("ckpt_roundtrip.json");
   std::remove(path.c_str());
   core::HadasConfig config = small_config();
   config.outer_generations = 2;
@@ -114,7 +115,8 @@ TEST(Checkpoint, CheckpointJsonRoundTripIsExact) {
 }
 
 TEST(Checkpoint, KillAndResumeReproducesUninterruptedRunExactly) {
-  const std::string path = "/tmp/hadas_ckpt_resume.json";
+  const test::ScratchDir scratch;
+  const std::string path = scratch.file("ckpt_resume.json");
   std::remove(path.c_str());
 
   // Reference: 3 generations straight through, no checkpointing.
@@ -144,7 +146,8 @@ TEST(Checkpoint, KillAndResumeReproducesUninterruptedRunExactly) {
 }
 
 TEST(Checkpoint, ResumeAfterCompletionReturnsSameResult) {
-  const std::string path = "/tmp/hadas_ckpt_rerun.json";
+  const test::ScratchDir scratch;
+  const std::string path = scratch.file("ckpt_rerun.json");
   std::remove(path.c_str());
   core::HadasConfig config = small_config();
   config.checkpoint_path = path;
@@ -160,7 +163,8 @@ TEST(Checkpoint, ResumeAfterCompletionReturnsSameResult) {
 }
 
 TEST(Checkpoint, MismatchedConfigurationIsRefused) {
-  const std::string path = "/tmp/hadas_ckpt_mismatch.json";
+  const test::ScratchDir scratch;
+  const std::string path = scratch.file("ckpt_mismatch.json");
   std::remove(path.c_str());
   core::HadasConfig config = small_config();
   config.outer_generations = 1;
@@ -183,7 +187,8 @@ TEST(Checkpoint, MismatchedConfigurationIsRefused) {
 }
 
 TEST(Checkpoint, CorruptCheckpointFailsCleanly) {
-  const std::string path = "/tmp/hadas_ckpt_corrupt.json";
+  const test::ScratchDir scratch;
+  const std::string path = scratch.file("ckpt_corrupt.json");
   {
     std::ofstream out(path);
     out << "{\"format\": \"hadas-checkpoint-v1\", \"next_gen";  // truncated
@@ -202,7 +207,8 @@ void remove_chain(const std::string& path, std::size_t keep) {
 }
 
 TEST(Checkpoint, CorruptNewestSlotFallsBackDownTheChainWithAWarning) {
-  const std::string path = "/tmp/hadas_ckpt_chainfall.json";
+  const test::ScratchDir scratch;
+  const std::string path = scratch.file("ckpt_chainfall.json");
   remove_chain(path, 3);
 
   // Reference: 3 generations straight through.
@@ -252,7 +258,8 @@ TEST(Checkpoint, CorruptNewestSlotFallsBackDownTheChainWithAWarning) {
 }
 
 TEST(Checkpoint, FullyCorruptChainThrowsStructuredErrorNotAParseBacktrace) {
-  const std::string path = "/tmp/hadas_ckpt_allcorrupt.json";
+  const test::ScratchDir scratch;
+  const std::string path = scratch.file("ckpt_allcorrupt.json");
   remove_chain(path, 3);
   core::HadasConfig config = small_config();
   config.outer_generations = 2;

@@ -76,7 +76,8 @@ TEST(Serialize, FullSearchResultRoundTripsThroughDisk) {
   EXPECT_EQ(json.at("device").as_string(), "TX2 Pascal GPU");
   EXPECT_EQ(json.at("final_pareto").size(), result.final_pareto.size());
 
-  const std::string path = "/tmp/hadas_serialize_test.json";
+  const test::ScratchDir scratch;
+  const std::string path = scratch.file("serialize_test.json");
   core::save_json(path, json);
   const Json loaded = core::load_json(path);
   std::remove(path.c_str());

@@ -16,6 +16,7 @@
 #include "dist/worker.hpp"
 #include "util/durable/checkpoint_chain.hpp"
 #include "util/durable/durable_file.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
@@ -40,7 +41,8 @@ dist::DistSpec tiny_spec() {
 }
 
 std::string fresh_dir(const std::string& name) {
-  const std::string dir = "/tmp/hadas_dist_test_" + name;
+  static const test::ScratchDir scratch;
+  const std::string dir = scratch.file("dist_test_" + name);
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;

@@ -14,6 +14,7 @@
 #include "util/durable/checkpoint_chain.hpp"
 #include "util/durable/durable_file.hpp"
 #include "util/failpoint.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
@@ -26,7 +27,8 @@ using util::durable::DurableFile;
 constexpr const char* kTag = "hadas-test-v1";
 
 std::string temp_path(const std::string& name) {
-  const std::string path = "/tmp/hadas_durable_" + name;
+  static const test::ScratchDir scratch;
+  const std::string path = scratch.file("durable_" + name);
   std::remove(path.c_str());
   return path;
 }

@@ -27,6 +27,7 @@
 #include "util/durable/checkpoint_chain.hpp"
 #include "util/durable/durable_file.hpp"
 #include "util/rng.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
@@ -81,8 +82,8 @@ void validate_payload(const std::string& payload) {
 /// unrecoverable chain is a legal outcome there (and only there).
 void run_trial(const std::string& rule, const std::string& label,
                bool tear = false) {
-  const std::string base = "/tmp/hadas_durable_property/" + label + ".json";
-  std::filesystem::create_directories("/tmp/hadas_durable_property");
+  static const hadas::test::ScratchDir scratch("durable_property");
+  const std::string base = scratch.file(label + ".json");
   for (std::size_t slot = 0; slot < kKeep + 1; ++slot) {
     const std::string suffix = slot == 0 ? "" : "." + std::to_string(slot);
     std::remove((base + suffix).c_str());

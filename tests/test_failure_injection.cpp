@@ -73,7 +73,8 @@ TEST(FailureInjection, TruncatedResultFileFailsCleanly) {
   const core::HadasResult result = engine.run();
   const std::string full =
       core::result_to_json(result, hw::Target::kTx2PascalGpu).dump(2);
-  const std::string path = "/tmp/hadas_truncated.json";
+  const test::ScratchDir scratch;
+  const std::string path = scratch.file("truncated.json");
   for (double fraction : {0.1, 0.5, 0.9, 0.99}) {
     {
       std::ofstream out(path);

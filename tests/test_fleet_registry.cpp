@@ -12,6 +12,7 @@
 
 #include "hw/fleet/registry.hpp"
 #include "util/durable/durable_file.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
@@ -24,7 +25,8 @@ using util::durable::CheckpointCorruptError;
 using util::durable::CorruptStage;
 
 std::string temp_path(const std::string& name) {
-  const std::string path = "/tmp/hadas_fleet_" + name;
+  static const test::ScratchDir scratch;
+  const std::string path = scratch.file("fleet_" + name);
   std::remove(path.c_str());
   return path;
 }

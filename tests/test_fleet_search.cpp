@@ -165,7 +165,8 @@ TEST(FleetSearch, FleetModeRejectsExplicitTargetsAndRobustConfigs) {
 }
 
 TEST(FleetSearch, ChecksFleetStateIsDurablyCheckpointedAndResumable) {
-  const std::string path = "/tmp/hadas_fleet_search_state.json";
+  const test::ScratchDir scratch;
+  const std::string path = scratch.file("fleet_search_state.json");
   std::remove(path.c_str());
   hw::fleet::FleetRegistry registry(chaos_fleet(0xF1EE7DEADULL));
   core::MultiDeviceConfig config = fleet_search_config();

@@ -1,7 +1,16 @@
 #pragma once
 
 // Shared reduced-size configurations so the test suite stays fast while
-// still exercising the real training / search code paths.
+// still exercising the real training / search code paths, and a private
+// scratch directory per test.
+
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <filesystem>
+#include <string>
+#include <system_error>
 
 #include "core/hadas_engine.hpp"
 #include "data/synthetic_task.hpp"
@@ -40,5 +49,50 @@ inline core::HadasConfig tiny_engine_config() {
   config.seed = 77;
   return config;
 }
+
+/// "Suite.Name" of the running gtest case with '/' made '_', or "no_test"
+/// outside one.
+inline std::string current_test_name() {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string name = info == nullptr ? "no_test"
+                                     : std::string(info->test_suite_name()) +
+                                           "." + info->name();
+  for (char& c : name)
+    if (c == '/') c = '_';
+  return name;
+}
+
+/// A fresh directory of this test's own under temp_directory_path(), named
+/// from `label` (the running test by default), the pid and a per-process
+/// count, and removed with its contents at scope exit. ctest runs tests in
+/// parallel processes, so fixed paths would let one test delete another's
+/// files.
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& label = current_test_name()) {
+    static std::atomic<unsigned> count{0};
+    path_ = std::filesystem::temp_directory_path() /
+            ("hadas-" + label + "-" + std::to_string(::getpid()) + "-" +
+             std::to_string(count++));
+    std::filesystem::remove_all(path_);
+    std::filesystem::create_directories(path_);
+  }
+  ~ScratchDir() {
+    // A forked child that runs destructors must not delete its parent's files.
+    if (::getpid() != owner_) return;
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  const std::filesystem::path& path() const { return path_; }
+  /// Path of `name` inside the directory.
+  std::string file(const std::string& name) const { return (path_ / name).string(); }
+
+ private:
+  std::filesystem::path path_;
+  pid_t owner_ = ::getpid();
+};
 
 }  // namespace hadas::test

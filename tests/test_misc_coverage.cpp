@@ -8,6 +8,7 @@
 #include "hw/evaluator.hpp"
 #include "supernet/baselines.hpp"
 #include "util/csv.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
@@ -16,7 +17,8 @@ using namespace hadas;
 // ---------- CsvWriter ----------
 
 TEST(CsvWriter, WritesHeaderAndRows) {
-  const std::string path = "/tmp/hadas_csv_test.csv";
+  const test::ScratchDir scratch;
+  const std::string path = scratch.file("csv_test.csv");
   {
     util::CsvWriter csv(path, {"a", "b"});
     ASSERT_TRUE(csv.ok());
@@ -31,7 +33,8 @@ TEST(CsvWriter, WritesHeaderAndRows) {
 }
 
 TEST(CsvWriter, ValidatesWidths) {
-  const std::string path = "/tmp/hadas_csv_test2.csv";
+  const test::ScratchDir scratch;
+  const std::string path = scratch.file("csv_test2.csv");
   util::CsvWriter csv(path, {"a", "b"});
   EXPECT_THROW(csv.row(std::vector<double>{1.0}), std::invalid_argument);
   EXPECT_THROW(csv.row(std::vector<std::string>{"1", "2", "3"}),

@@ -10,6 +10,7 @@
 #include "net/backed_stream.hpp"
 #include "net/session.hpp"
 #include "util/durable/durable_file.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
@@ -89,7 +90,8 @@ TEST(NetBacked, ReaderConsumeAdvancesDurableSeq) {
 }
 
 TEST(NetBacked, SessionStateRoundTripsThroughDurableFile) {
-  const std::string path = "/tmp/hadas_net_session_roundtrip.json";
+  const test::ScratchDir scratch;
+  const std::string path = scratch.file("net_session_roundtrip.json");
   std::remove(path.c_str());
 
   SessionState state;
@@ -115,10 +117,11 @@ TEST(NetBacked, SessionStateRoundTripsThroughDurableFile) {
 }
 
 TEST(NetBacked, MissingSessionIsNulloptCorruptSessionThrows) {
+  const test::ScratchDir scratch;
   EXPECT_FALSE(
-      net::load_session_state("/tmp/hadas_net_session_missing.json").has_value());
+      net::load_session_state(scratch.file("net_session_missing.json")).has_value());
 
-  const std::string path = "/tmp/hadas_net_session_corrupt.json";
+  const std::string path = scratch.file("net_session_corrupt.json");
   {
     std::FILE* f = std::fopen(path.c_str(), "w");
     ASSERT_NE(f, nullptr);

@@ -22,6 +22,7 @@
 #include "net/socket.hpp"
 #include "obs/metrics.hpp"
 #include "util/rng.hpp"
+#include "test_helpers.hpp"
 
 #include <cmath>
 
@@ -72,7 +73,7 @@ class FakeService : public runtime::serve::ServeService {
 
 struct Loopback {
   explicit Loopback(const std::string& name) {
-    dir = "/tmp/hadas_net_loop_" + name;
+    dir = scratch.file("net_loop_" + name);
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
   }
@@ -101,6 +102,7 @@ struct Loopback {
   std::shared_ptr<FakeNetwork> network = std::make_shared<FakeNetwork>();
   FakeSocketHandler handler{network};
   FakeService service;
+  const test::ScratchDir scratch;
   std::string dir;
 };
 

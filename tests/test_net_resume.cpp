@@ -87,7 +87,7 @@ std::string direct_report(std::size_t threads) {
 /// A full networked stack over one fake network.
 struct NetStack {
   NetStack(const std::string& name, std::size_t threads)
-      : dir("/tmp/hadas_net_resume_" + name),
+      : dir(scratch.file("net_resume_" + name)),
         supervisor(fx().bank,
                    {ServeLane{&fx().table, fx().def, hw::FaultConfig{}}},
                    fx().serve_config(threads)),
@@ -114,6 +114,7 @@ struct NetStack {
     return config;
   }
 
+  const test::ScratchDir scratch;
   std::string dir;
   ServeSupervisor supervisor;
   SupervisorBridge bridge;

@@ -353,7 +353,8 @@ void remove_journal(const std::string& path) {
 }
 
 TEST(Serve, JournalingItselfDoesNotPerturbTheReport) {
-  const std::string path = "/tmp/hadas_serve_journal_noop.json";
+  const test::ScratchDir scratch;
+  const std::string path = scratch.file("serve_journal_noop.json");
   remove_journal(path);
   const auto trace = journal_trace();
   const auto lane = fx().faulty_lane(0.05, 0xFEED);
@@ -371,7 +372,8 @@ TEST(Serve, JournalingItselfDoesNotPerturbTheReport) {
 }
 
 TEST(Serve, KilledRunResumesFromJournalWithByteIdenticalReport) {
-  const std::string path = "/tmp/hadas_serve_journal_kill.json";
+  const test::ScratchDir scratch;
+  const std::string path = scratch.file("serve_journal_kill.json");
   remove_journal(path);
   const auto trace = journal_trace();
   const auto lane = fx().faulty_lane(0.05, 0xFEED);
@@ -396,7 +398,8 @@ TEST(Serve, KilledRunResumesFromJournalWithByteIdenticalReport) {
 }
 
 TEST(Serve, CorruptNewestJournalSlotFallsBackWithAWarning) {
-  const std::string path = "/tmp/hadas_serve_journal_corrupt.json";
+  const test::ScratchDir scratch;
+  const std::string path = scratch.file("serve_journal_corrupt.json");
   remove_journal(path);
   const auto trace = journal_trace();
   const auto lane = fx().faulty_lane(0.05, 0xFEED);
@@ -439,7 +442,8 @@ TEST(Serve, CorruptNewestJournalSlotFallsBackWithAWarning) {
 }
 
 TEST(Serve, JournalFromADifferentConfigurationIsRefused) {
-  const std::string path = "/tmp/hadas_serve_journal_mismatch.json";
+  const test::ScratchDir scratch;
+  const std::string path = scratch.file("serve_journal_mismatch.json");
   remove_journal(path);
   const auto trace = journal_trace();
   const auto lane = fx().faulty_lane(0.05, 0xFEED);
