@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "exec/dispatcher.hpp"
 #include "nn/losses.hpp"
@@ -63,37 +64,38 @@ HeadJob draw_head(const data::SyntheticTask& task, std::size_t layer,
   return {layer, depth_fraction, separability, std::move(model), shuffle_seed};
 }
 
-/// Trains `job.model` in place and measures it. Touches no shared mutable
-/// state beyond the task's mutex-guarded noise cache, so distinct jobs may
-/// run concurrently.
+/// Trains `job.model` in place and measures it; `teacher_soft` is null for
+/// the teacher itself. Touches no shared mutable state beyond the task's
+/// mutex-guarded noise cache, so distinct jobs may run concurrently.
 TrainedExit fit_head(const data::SyntheticTask& task, HeadJob& job,
                      const ExitBankConfig& config,
-                     const nn::Matrix* teacher_train_logits) {
+                     const nn::SoftTargets* teacher_soft) {
   const obs::TraceSpan span("bank.head_fit", "search");
-  nn::FeatureDataset train =
+  const nn::FeatureDataset train =
       task.dataset(data::Split::kTrain, job.depth_fraction, job.separability);
   const nn::FeatureDataset val =
       task.dataset(data::Split::kVal, job.depth_fraction, job.separability);
   const nn::FeatureDataset test =
       task.dataset(data::Split::kTest, job.depth_fraction, job.separability);
-  if (teacher_train_logits != nullptr) train.teacher_logits = *teacher_train_logits;
 
   nn::TrainConfig tc = config.train;
   tc.shuffle_seed = job.shuffle_seed;
-  if (teacher_train_logits == nullptr) tc.kd_weight = 0.0;  // the teacher itself
-  nn::Trainer(tc).fit(job.model, train, val);
+  // No val set: the fit's per-epoch accuracy is unused; the head is measured below.
+  nn::Trainer(tc).fit(job.model, train, nn::FeatureDataset{}, teacher_soft);
 
   TrainedExit record;
   record.layer = job.layer;
   record.depth_fraction = job.depth_fraction;
-  const nn::Matrix val_logits = job.model.forward(val.features);
-  record.val_correct = nn::correct_mask(val_logits, val.labels);
-  record.val_accuracy = nn::accuracy(val_logits, val.labels);
-  record.val_entropy = nn::row_normalized_entropy(val_logits);
-  const nn::Matrix test_logits = job.model.forward(test.features);
-  record.test_correct = nn::correct_mask(test_logits, test.labels);
-  record.test_entropy = nn::row_normalized_entropy(test_logits);
-  record.test_max_prob = nn::row_max_prob(test_logits);
+  nn::RowPredictions val_rows =
+      nn::row_predictions(job.model.forward(val.features), val.labels);
+  record.val_accuracy = nn::accuracy(val_rows.correct);
+  record.val_correct = std::move(val_rows.correct);
+  record.val_entropy = std::move(val_rows.entropy);
+  nn::RowPredictions test_rows =
+      nn::row_predictions(job.model.forward(test.features), test.labels);
+  record.test_correct = std::move(test_rows.correct);
+  record.test_entropy = std::move(test_rows.entropy);
+  record.test_max_prob = std::move(test_rows.max_prob);
   return record;
 }
 }  // namespace
@@ -113,8 +115,14 @@ ExitBank::ExitBank(const data::SyntheticTask& task,
   HeadJob teacher =
       draw_head(task, total_layers_ - 1, 1.0, separability, config, rng);
   final_ = fit_head(task, teacher, config, nullptr);
-  const nn::Matrix teacher_logits = teacher.model.forward(
-      task.features(data::Split::kTrain, 1.0, separability));
+  // Every head distils from this one frozen teacher: soften it once.
+  const nn::SoftTargets teacher_soft =
+      config.train.kd_weight > 0.0
+          ? nn::soften_teacher(
+                teacher.model.forward(
+                    task.features(data::Split::kTrain, 1.0, separability)),
+                config.train.kd_temperature)
+          : nn::SoftTargets{};
 
   // 2) Every eligible exit position, shallow to deep, distilled from the
   //    teacher per eq. (4). The backbone (feature generator) stays frozen.
@@ -136,7 +144,7 @@ ExitBank::ExitBank(const data::SyntheticTask& task,
   // 3) Given the frozen teacher the heads are independent: fit them on the
   //    dispatcher's pool, or inline in index order without one.
   auto body = [&](std::size_t i) {
-    return fit_head(task, jobs[i], config, &teacher_logits);
+    return fit_head(task, jobs[i], config, &teacher_soft);
   };
   if (dispatcher != nullptr) {
     exits_ = dispatcher->map(eligible, body);

@@ -3,10 +3,30 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace hadas::nn {
 
+namespace {
+/// Every row function below reads a row's first element, so a matrix with
+/// no columns is a caller error rather than an out-of-bounds read.
+void require_columns(const Matrix& logits, const char* fn) {
+  if (logits.cols() == 0)
+    throw std::invalid_argument(std::string(fn) + ": logits have no columns");
+}
+
+/// Index of the first maximum of a row: strict `>`, so ties keep the lowest
+/// index.
+std::size_t row_argmax(const float* row, std::size_t cols) {
+  std::size_t arg = 0;
+  for (std::size_t c = 1; c < cols; ++c)
+    if (row[c] > row[arg]) arg = c;
+  return arg;
+}
+}  // namespace
+
 Matrix log_softmax(const Matrix& logits) {
+  require_columns(logits, "log_softmax");
   Matrix out(logits.rows(), logits.cols());
   for (std::size_t r = 0; r < logits.rows(); ++r) {
     const float* in = logits.row_ptr(r);
@@ -24,6 +44,7 @@ Matrix log_softmax(const Matrix& logits) {
 
 Matrix softmax(const Matrix& logits, double temperature) {
   if (temperature <= 0.0) throw std::invalid_argument("softmax: temperature <= 0");
+  require_columns(logits, "softmax");
   Matrix out(logits.rows(), logits.cols());
   for (std::size_t r = 0; r < logits.rows(); ++r) {
     const float* in = logits.row_ptr(r);
@@ -101,6 +122,7 @@ LossResult kd_loss_soft(const Matrix& student_logits, const SoftTargets& soft,
     throw std::invalid_argument("kd_loss_soft: row index range out of bounds");
   const double temperature = soft.temperature;
   if (temperature <= 0.0) throw std::invalid_argument("kd_loss_soft: temperature <= 0");
+  require_columns(student_logits, "kd_loss_soft");
 
   LossResult res;
   res.dlogits = Matrix(student_logits.rows(), student_logits.cols());
@@ -152,39 +174,48 @@ LossResult kd_loss(const Matrix& student_logits, const Matrix& teacher_logits,
 }
 
 double accuracy(const Matrix& logits, const std::vector<std::int32_t>& labels) {
-  const auto mask = correct_mask(logits, labels);
-  if (mask.empty()) return 0.0;
-  std::size_t correct = 0;
-  for (bool b : mask) correct += b ? 1 : 0;
-  return static_cast<double>(correct) / static_cast<double>(mask.size());
+  return accuracy(correct_mask(logits, labels));
+}
+
+double accuracy(const std::vector<bool>& correct) {
+  if (correct.empty()) return 0.0;
+  std::size_t hits = 0;
+  for (bool b : correct) hits += b ? 1 : 0;
+  return static_cast<double>(hits) / static_cast<double>(correct.size());
 }
 
 std::vector<bool> correct_mask(const Matrix& logits,
                                const std::vector<std::int32_t>& labels) {
+  require_columns(logits, "correct_mask");
   if (labels.size() != logits.rows())
     throw std::invalid_argument("correct_mask: label count mismatch");
   std::vector<bool> mask(logits.rows());
-  for (std::size_t r = 0; r < logits.rows(); ++r) {
-    const float* row = logits.row_ptr(r);
-    std::size_t arg = 0;
-    for (std::size_t c = 1; c < logits.cols(); ++c)
-      if (row[c] > row[arg]) arg = c;
-    mask[r] = (arg == static_cast<std::size_t>(labels[r]));
-  }
+  for (std::size_t r = 0; r < logits.rows(); ++r)
+    mask[r] = row_argmax(logits.row_ptr(r), logits.cols()) ==
+              static_cast<std::size_t>(labels[r]);
   return mask;
 }
 
-std::vector<double> row_normalized_entropy(const Matrix& logits) {
-  std::vector<double> out(logits.rows());
+RowPredictions row_predictions(const Matrix& logits,
+                               const std::vector<std::int32_t>& labels) {
+  require_columns(logits, "row_predictions");
+  if (!labels.empty() && labels.size() != logits.rows())
+    throw std::invalid_argument("row_predictions: label count mismatch");
+  RowPredictions out;
+  out.correct.resize(labels.size());
+  out.entropy.resize(logits.rows());
+  out.max_prob.resize(logits.rows());
   const double log_n = std::log(static_cast<double>(std::max<std::size_t>(logits.cols(), 2)));
-  // H = −Σ p·log p with p = e_c / Σe and log p_c = (x_c − mx) − log Σe, so
-  // H = log Σe − (Σ e_c·(x_c − mx)) / Σe: one exp pass, no per-element log,
-  // no materialized probability matrix.
   for (std::size_t r = 0; r < logits.rows(); ++r) {
     const float* in = logits.row_ptr(r);
-    double mx = in[0];
-    for (std::size_t c = 1; c < logits.cols(); ++c)
-      mx = std::max(mx, static_cast<double>(in[c]));
+    // The argmax pass is also the max pass: its strict `>` is the same
+    // comparison std::max makes, so in[arg] is the row maximum.
+    const std::size_t arg = row_argmax(in, logits.cols());
+    if (!labels.empty()) out.correct[r] = arg == static_cast<std::size_t>(labels[r]);
+    const double mx = in[arg];
+    // With p_c = e_c / Σe and log p_c = (x_c − mx) − log Σe:
+    // H = log Σe − (Σ e_c·(x_c − mx)) / Σe, and max p = exp(0) / Σe. One exp
+    // pass, no per-element log, no probability matrix.
     double total = 0.0, weighted = 0.0;
     for (std::size_t c = 0; c < logits.cols(); ++c) {
       const double s = static_cast<double>(in[c]) - mx;
@@ -192,24 +223,8 @@ std::vector<double> row_normalized_entropy(const Matrix& logits) {
       total += e;
       weighted += e * s;
     }
-    out[r] = (std::log(total) - weighted / total) / log_n;
-  }
-  return out;
-}
-
-std::vector<double> row_max_prob(const Matrix& logits) {
-  std::vector<double> out(logits.rows());
-  // The max softmax probability is exp(0)/Σ exp(x_c − mx) = 1/Σe — no
-  // probability matrix needed.
-  for (std::size_t r = 0; r < logits.rows(); ++r) {
-    const float* in = logits.row_ptr(r);
-    double mx = in[0];
-    for (std::size_t c = 1; c < logits.cols(); ++c)
-      mx = std::max(mx, static_cast<double>(in[c]));
-    double total = 0.0;
-    for (std::size_t c = 0; c < logits.cols(); ++c)
-      total += std::exp(static_cast<double>(in[c]) - mx);
-    out[r] = 1.0 / total;
+    out.entropy[r] = (std::log(total) - weighted / total) / log_n;
+    out.max_prob[r] = 1.0 / total;
   }
   return out;
 }

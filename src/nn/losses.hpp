@@ -5,6 +5,9 @@
 
 #include "nn/matrix.hpp"
 
+// Every function here that reads logits row by row throws
+// std::invalid_argument when the logits have no columns.
+
 namespace hadas::nn {
 
 /// Result of a loss evaluation: scalar mean loss plus the gradient with
@@ -33,9 +36,10 @@ LossResult kd_loss(const Matrix& student_logits, const Matrix& teacher_logits,
 
 /// Precomputed softened teacher targets for the KD loss: softmax(teacher/T)
 /// plus the per-row sum of p·log p (the teacher-entropy half of the KL term).
-/// The teacher is frozen, so these are computed ONCE per fit instead of once
-/// per batch per epoch — softmax is row-wise, so batch-gathered rows are
-/// identical to per-batch recomputation.
+/// The teacher is frozen, so these are computed once per teacher (an exit
+/// bank shares them across all its heads) instead of once per batch per
+/// epoch — softmax is row-wise, so batch-gathered rows are identical to
+/// per-batch recomputation.
 struct SoftTargets {
   Matrix probs;                   // softmax(teacher / T), full training set
   std::vector<double> row_plogp;  // per-row Σ p·log p
@@ -53,15 +57,26 @@ LossResult kd_loss_soft(const Matrix& student_logits, const SoftTargets& soft,
 /// Fraction of rows whose argmax matches the label.
 double accuracy(const Matrix& logits, const std::vector<std::int32_t>& labels);
 
-/// Per-row correctness mask (1 = argmax matches label).
+/// Fraction of true entries in a correctness mask (0 for an empty mask).
+double accuracy(const std::vector<bool>& correct);
+
+/// Per-row correctness mask (1 = argmax matches label). The argmax is the
+/// first index of the row maximum.
 std::vector<bool> correct_mask(const Matrix& logits,
                                const std::vector<std::int32_t>& labels);
 
-/// Per-row normalized entropy of softmax(logits), in [0,1]. Used by the
-/// entropy-based runtime controller.
-std::vector<double> row_normalized_entropy(const Matrix& logits);
+/// What an exit's predictions look like, row by row.
+struct RowPredictions {
+  std::vector<bool> correct;     ///< correct_mask's rule; empty without labels
+  std::vector<double> entropy;   ///< normalized entropy of softmax, in [0,1]
+  std::vector<double> max_prob;  ///< max softmax probability
+};
 
-/// Per-row max softmax probability. Used by the confidence controller.
-std::vector<double> row_max_prob(const Matrix& logits);
+/// Per-row correctness, normalized entropy (the entropy controller's
+/// signal) and max softmax probability (the confidence controller's), from
+/// one max pass and one exp pass per row. `labels` is either one label per
+/// row or empty, which leaves `correct` empty.
+RowPredictions row_predictions(const Matrix& logits,
+                               const std::vector<std::int32_t>& labels);
 
 }  // namespace hadas::nn

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 namespace hadas::nn {
@@ -61,16 +62,65 @@ inline float dot8(const float* HADAS_RESTRICT a, const float* HADAS_RESTRICT b,
          tail;
 }
 
+/// Four floats: lane j belongs to output j of a four-output tile.
+using Lanes4 = float __attribute__((vector_size(16)));
+
+inline Lanes4 load4(const float* p) {
+  Lanes4 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
 }  // namespace
 
 Matrix Matrix::matmul_nt(const Matrix& a, const Matrix& b) {
   if (a.cols() != b.cols()) throw std::invalid_argument("matmul_nt: shape mismatch");
   Matrix c(a.rows(), b.rows());
   const std::size_t kk = a.cols();
+  const std::size_t nj = b.rows();
+  const std::size_t tiles = nj / 4;
+  // B's rows in tiles of four, interleaved by column, and the current A row
+  // broadcast four-wide: one vector multiply-add then advances dot8's
+  // accumulator (k mod 8) of four outputs at once, each A load serving all
+  // four, and the combine below is dot8's, lane-parallel over the tile.
+  // Every output's bits are exactly dot8's; outputs past the last full tile
+  // use dot8 itself.
+  std::vector<float> panels(tiles * kk * 4);
+  for (std::size_t t = 0; t < tiles; ++t)
+    for (std::size_t k = 0; k < kk; ++k)
+      for (std::size_t j = 0; j < 4; ++j)
+        panels[(t * kk + k) * 4 + j] = b.at(4 * t + j, k);
+  std::vector<float> abcast(kk * 4);
   for (std::size_t i = 0; i < a.rows(); ++i) {
     const float* arow = a.row_ptr(i);
     float* crow = c.row_ptr(i);
-    for (std::size_t j = 0; j < b.rows(); ++j) crow[j] = dot8(arow, b.row_ptr(j), kk);
+    for (std::size_t k = 0; k < kk; ++k)
+      for (std::size_t j = 0; j < 4; ++j) abcast[k * 4 + j] = arow[k];
+    for (std::size_t t = 0; t < tiles; ++t) {
+      const float* HADAS_RESTRICT bp = panels.data() + t * kk * 4;
+      const float* HADAS_RESTRICT ap = abcast.data();
+      Lanes4 acc0 = {}, acc1 = {}, acc2 = {}, acc3 = {};
+      Lanes4 acc4 = {}, acc5 = {}, acc6 = {}, acc7 = {};
+      std::size_t k = 0;
+      for (; k + 8 <= kk; k += 8) {
+        acc0 += load4(ap + 4 * (k + 0)) * load4(bp + 4 * (k + 0));
+        acc1 += load4(ap + 4 * (k + 1)) * load4(bp + 4 * (k + 1));
+        acc2 += load4(ap + 4 * (k + 2)) * load4(bp + 4 * (k + 2));
+        acc3 += load4(ap + 4 * (k + 3)) * load4(bp + 4 * (k + 3));
+        acc4 += load4(ap + 4 * (k + 4)) * load4(bp + 4 * (k + 4));
+        acc5 += load4(ap + 4 * (k + 5)) * load4(bp + 4 * (k + 5));
+        acc6 += load4(ap + 4 * (k + 6)) * load4(bp + 4 * (k + 6));
+        acc7 += load4(ap + 4 * (k + 7)) * load4(bp + 4 * (k + 7));
+      }
+      Lanes4 tail = {};
+      for (; k < kk; ++k) tail += load4(ap + 4 * k) * load4(bp + 4 * k);
+      const Lanes4 out =
+          (((acc0 + acc4) + (acc1 + acc5)) + ((acc2 + acc6) + (acc3 + acc7))) +
+          tail;
+      std::memcpy(crow + 4 * t, &out, sizeof out);
+    }
+    for (std::size_t j = 4 * tiles; j < nj; ++j)
+      crow[j] = dot8(arow, b.row_ptr(j), kk);
   }
   return c;
 }

@@ -24,18 +24,29 @@ Matrix gather_rows(const Matrix& m, const std::vector<std::size_t>& idx,
 
 TrainResult Trainer::fit(MlpClassifier& head, const FeatureDataset& train,
                          const FeatureDataset& val) const {
+  const bool use_kd = config_.kd_weight > 0.0 && !train.teacher_logits.empty() &&
+                      train.teacher_logits.rows() == train.size();
+  if (!use_kd) return fit(head, train, val, nullptr);
+  const SoftTargets soft =
+      soften_teacher(train.teacher_logits, config_.kd_temperature);
+  return fit(head, train, val, &soft);
+}
+
+TrainResult Trainer::fit(MlpClassifier& head, const FeatureDataset& train,
+                         const FeatureDataset& val,
+                         const SoftTargets* soft) const {
   if (train.size() == 0) throw std::invalid_argument("Trainer: empty train set");
   if (config_.batch_size == 0)
     throw std::invalid_argument("Trainer: batch_size must be positive");
   if (train.labels.size() != train.size())
     throw std::invalid_argument("Trainer: label count mismatch");
-  const bool use_kd =
-      config_.kd_weight > 0.0 && train.teacher_logits.rows() == train.size();
-  // The teacher is frozen: soften its logits once per fit instead of
-  // re-running softmax on every gathered minibatch of every epoch.
-  const SoftTargets soft =
-      use_kd ? soften_teacher(train.teacher_logits, config_.kd_temperature)
-             : SoftTargets{};
+  // The teacher is frozen, so its softened targets are computed once, by
+  // the caller, instead of on every gathered minibatch of every epoch.
+  const bool use_kd = config_.kd_weight > 0.0 && soft != nullptr;
+  if (use_kd && (soft->probs.rows() != train.size() ||
+                 soft->temperature != config_.kd_temperature))
+    throw std::invalid_argument(
+        "Trainer: soft targets do not match the train set and kd_temperature");
 
   hadas::util::Rng rng(config_.shuffle_seed);
   std::vector<std::size_t> order(train.size());
@@ -79,7 +90,7 @@ TrainResult Trainer::fit(MlpClassifier& head, const FeatureDataset& train,
       double combined = nll.loss;
 
       if (use_kd) {
-        const LossResult kd = kd_loss_soft(logits, soft, order, begin);
+        const LossResult kd = kd_loss_soft(logits, *soft, order, begin);
         stats.kd_loss += kd.loss;
         combined += config_.kd_weight * kd.loss;
         nll.dlogits.axpy(static_cast<float>(config_.kd_weight), kd.dlogits);

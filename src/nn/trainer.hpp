@@ -9,6 +9,8 @@
 
 namespace hadas::nn {
 
+struct SoftTargets;
+
 /// Hyper-parameters for exit-head training (HADAS eq. 4 hybrid loss).
 struct TrainConfig {
   std::size_t epochs = 12;
@@ -63,8 +65,9 @@ class Trainer {
   const TrainConfig& config() const { return config_; }
 
   /// Train `head` on `train`, reporting validation accuracy on `val` after
-  /// every epoch. KD is used only when teacher logits are present and
-  /// kd_weight > 0.
+  /// every epoch. `val` may be empty; every val_accuracy is then 0. KD is
+  /// used only when teacher logits are present and kd_weight > 0; they are
+  /// softened once, then the fit runs as the overload below.
   ///
   /// NaN guard: the combined loss of every batch is checked before the
   /// gradients touch the parameters. On the first non-finite loss the epoch
@@ -75,6 +78,14 @@ class Trainer {
   /// can never silently poison downstream accuracy numbers.
   TrainResult fit(MlpClassifier& head, const FeatureDataset& train,
                   const FeatureDataset& val) const;
+
+  /// As above, with the teacher already softened: `soft` must be
+  /// soften_teacher(teacher logits of `train`, config().kd_temperature), so
+  /// several heads distilled from one teacher share it. KD is used only when
+  /// `soft` is non-null and kd_weight > 0; `train.teacher_logits` is not
+  /// read.
+  TrainResult fit(MlpClassifier& head, const FeatureDataset& train,
+                  const FeatureDataset& val, const SoftTargets* soft) const;
 
   /// Evaluate accuracy of `head` on a dataset.
   static double evaluate(const MlpClassifier& head, const FeatureDataset& data);

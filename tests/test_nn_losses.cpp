@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "nn/losses.hpp"
 #include "util/rng.hpp"
@@ -129,7 +132,7 @@ TEST(Losses, AccuracyAndMask) {
 TEST(Losses, RowEntropyBounds) {
   Matrix logits(2, 4, 0.0f);
   logits.at(1, 0) = 100.0f;  // delta distribution
-  const auto entropy = row_normalized_entropy(logits);
+  const auto entropy = row_predictions(logits, {}).entropy;
   EXPECT_NEAR(entropy[0], 1.0, 1e-6);   // uniform row
   EXPECT_NEAR(entropy[1], 0.0, 1e-6);   // confident row
 }
@@ -137,9 +140,103 @@ TEST(Losses, RowEntropyBounds) {
 TEST(Losses, RowMaxProb) {
   Matrix logits(2, 2, 0.0f);
   logits.at(1, 1) = 100.0f;
-  const auto probs = row_max_prob(logits);
+  const auto probs = row_predictions(logits, {}).max_prob;
   EXPECT_NEAR(probs[0], 0.5, 1e-6);
   EXPECT_NEAR(probs[1], 1.0, 1e-6);
+}
+
+// The separate entropy and max-probability passes row_predictions replaced,
+// kept verbatim as references for its bits.
+std::vector<double> reference_entropy(const Matrix& logits) {
+  std::vector<double> out(logits.rows());
+  const double log_n = std::log(static_cast<double>(std::max<std::size_t>(logits.cols(), 2)));
+  for (std::size_t r = 0; r < logits.rows(); ++r) {
+    const float* in = logits.row_ptr(r);
+    double mx = in[0];
+    for (std::size_t c = 1; c < logits.cols(); ++c)
+      mx = std::max(mx, static_cast<double>(in[c]));
+    double total = 0.0, weighted = 0.0;
+    for (std::size_t c = 0; c < logits.cols(); ++c) {
+      const double s = static_cast<double>(in[c]) - mx;
+      const double e = std::exp(s);
+      total += e;
+      weighted += e * s;
+    }
+    out[r] = (std::log(total) - weighted / total) / log_n;
+  }
+  return out;
+}
+
+std::vector<double> reference_max_prob(const Matrix& logits) {
+  std::vector<double> out(logits.rows());
+  for (std::size_t r = 0; r < logits.rows(); ++r) {
+    const float* in = logits.row_ptr(r);
+    double mx = in[0];
+    for (std::size_t c = 1; c < logits.cols(); ++c)
+      mx = std::max(mx, static_cast<double>(in[c]));
+    double total = 0.0;
+    for (std::size_t c = 0; c < logits.cols(); ++c)
+      total += std::exp(static_cast<double>(in[c]) - mx);
+    out[r] = 1.0 / total;
+  }
+  return out;
+}
+
+void expect_same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i]), std::bit_cast<std::uint64_t>(b[i]))
+        << "row " << i << ": " << a[i] << " vs " << b[i];
+}
+
+TEST(Losses, RowPredictionsMatchSeparatePassesBitForBit) {
+  hadas::util::Rng rng(31);
+  for (std::size_t cols : {1, 2, 7, 100}) {
+    Matrix logits = random_logits(64, cols, rng, 3.0);
+    // Ties for the maximum (the first index must win), a tie below the
+    // maximum, and an all-equal row.
+    if (cols > 1) {
+      logits.at(0, cols - 1) = logits.at(0, 0) = 50.0f;
+      logits.at(1, 0) = logits.at(1, cols - 1) = -50.0f;
+    }
+    for (std::size_t c = 0; c < cols; ++c) logits.at(2, c) = 0.25f;
+    std::vector<std::int32_t> labels(logits.rows());
+    for (auto& l : labels) l = static_cast<std::int32_t>(rng.uniform_index(cols));
+    labels[0] = static_cast<std::int32_t>(cols - 1);  // the later tied index loses
+    labels[2] = 0;                                    // an all-equal row predicts 0
+
+    const RowPredictions rows = row_predictions(logits, labels);
+    EXPECT_EQ(rows.correct, correct_mask(logits, labels));
+    expect_same_bits(rows.entropy, reference_entropy(logits));
+    expect_same_bits(rows.max_prob, reference_max_prob(logits));
+    EXPECT_TRUE(rows.correct[2]);
+    if (cols > 1) EXPECT_FALSE(rows.correct[0]);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(accuracy(rows.correct)),
+              std::bit_cast<std::uint64_t>(accuracy(logits, labels)));
+
+    const RowPredictions unlabelled = row_predictions(logits, {});
+    EXPECT_TRUE(unlabelled.correct.empty());
+    expect_same_bits(unlabelled.entropy, rows.entropy);
+    expect_same_bits(unlabelled.max_prob, rows.max_prob);
+  }
+  EXPECT_THROW(row_predictions(Matrix(3, 4), std::vector<std::int32_t>(2, 0)),
+               std::invalid_argument);
+}
+
+TEST(Losses, ZeroColumnLogitsThrow) {
+  const Matrix logits(3, 0);
+  const std::vector<std::int32_t> labels(3, 0);
+  EXPECT_THROW(log_softmax(logits), std::invalid_argument);
+  EXPECT_THROW(softmax(logits), std::invalid_argument);
+  EXPECT_THROW(correct_mask(logits, labels), std::invalid_argument);
+  EXPECT_THROW(accuracy(logits, labels), std::invalid_argument);
+  EXPECT_THROW(row_predictions(logits, labels), std::invalid_argument);
+  EXPECT_THROW(row_predictions(logits, {}), std::invalid_argument);
+  EXPECT_THROW(soften_teacher(logits, 4.0), std::invalid_argument);
+  SoftTargets soft;
+  soft.probs = logits;
+  soft.temperature = 4.0;
+  EXPECT_THROW(kd_loss_soft(logits, soft, {0, 1, 2}, 0), std::invalid_argument);
 }
 
 class KdTemperatureSweep : public ::testing::TestWithParam<double> {};
