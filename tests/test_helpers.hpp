@@ -86,7 +86,6 @@ class ScratchDir {
   ScratchDir(const ScratchDir&) = delete;
   ScratchDir& operator=(const ScratchDir&) = delete;
 
-  const std::filesystem::path& path() const { return path_; }
   /// Path of `name` inside the directory.
   std::string file(const std::string& name) const { return (path_ / name).string(); }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "nn/losses.hpp"
 #include "nn/trainer.hpp"
 #include "util/rng.hpp"
 
@@ -86,6 +87,46 @@ TEST(Trainer, KdSkippedWithoutTeacherLogits) {
   MlpClassifier head(5, 0, 3, rng);
   const TrainResult result = Trainer(config).fit(head, train, val);
   EXPECT_EQ(result.epochs.front().kd_loss, 0.0);
+}
+
+TEST(Trainer, PrecomputedSoftTargetsTrainTheSameHead) {
+  auto train = make_task(200, 4, 6, 2.0, 30);
+  const auto val = make_task(100, 4, 6, 2.0, 31);
+  hadas::util::Rng teacher_rng(32);
+  train.teacher_logits = Matrix(train.size(), 4);
+  for (auto& v : train.teacher_logits.data())
+    v = static_cast<float>(teacher_rng.normal(0.0, 3.0));
+  TrainConfig config;
+  config.epochs = 3;
+  config.kd_weight = 0.5;
+
+  hadas::util::Rng rng_a(33);
+  MlpClassifier head_a(6, 0, 4, rng_a);
+  const TrainResult a = Trainer(config).fit(head_a, train, val);
+
+  const SoftTargets soft = soften_teacher(train.teacher_logits, config.kd_temperature);
+  FeatureDataset no_teacher = train;
+  no_teacher.teacher_logits = Matrix();
+  hadas::util::Rng rng_b(33);
+  MlpClassifier head_b(6, 0, 4, rng_b);
+  const TrainResult b = Trainer(config).fit(head_b, no_teacher, FeatureDataset{}, &soft);
+
+  ASSERT_EQ(a.epochs.size(), b.epochs.size());
+  for (std::size_t e = 0; e < a.epochs.size(); ++e) {
+    EXPECT_EQ(a.epochs[e].train_loss, b.epochs[e].train_loss);
+    EXPECT_EQ(a.epochs[e].kd_loss, b.epochs[e].kd_loss);
+    EXPECT_EQ(b.epochs[e].val_accuracy, 0.0);  // empty val set
+  }
+  EXPECT_EQ(b.final_val_accuracy, 0.0);
+  EXPECT_EQ(head_a.forward(val.features).data(), head_b.forward(val.features).data());
+
+  const SoftTargets short_soft =
+      soften_teacher(Matrix(train.size() - 1, 4), config.kd_temperature);
+  EXPECT_THROW(Trainer(config).fit(head_b, train, val, &short_soft),
+               std::invalid_argument);
+  const SoftTargets hot_soft = soften_teacher(train.teacher_logits, 2.0);
+  EXPECT_THROW(Trainer(config).fit(head_b, train, val, &hot_soft),
+               std::invalid_argument);
 }
 
 TEST(Trainer, ThrowsOnEmptyOrInconsistentData) {
