@@ -85,11 +85,22 @@ std::string fresh_workdir(const std::string& stem) {
   return dir;
 }
 
+/// The value of counter `name` in a --metrics-out snapshot, or -1 when the
+/// snapshot does not list it.
+double metric_value(const std::string& snapshot, const std::string& name) {
+  const std::string key = "\"" + name + "\":";
+  const std::size_t at = snapshot.find(key);
+  if (at == std::string::npos) return -1.0;
+  return std::strtod(snapshot.c_str() + at + key.size(), nullptr);
+}
+
 /// Kill-anywhere scenario at island count `islands`: inject a crash at
 /// `site` (hit `hit`). A worker-side crash must be healed inside the same
 /// coordinator run (respawn strips the chaos schedule); a coordinator-side
 /// crash exits 86 and a clean rerun of the same command must resume from
-/// the workdir. Either way the final artifact must match the reference.
+/// the workdir. Either way the final artifact must match the reference, and
+/// the kill must provably have fired: a coordinator site's first run exits
+/// 86, a worker site's run restarts at least one worker.
 void kill_and_converge(std::size_t islands, const std::string& site,
                        std::uint64_t hit, const std::string& reference) {
   const std::string stem = "kill" + std::to_string(islands) + "_" + site +
@@ -97,13 +108,26 @@ void kill_and_converge(std::size_t islands, const std::string& site,
   const std::string workdir = fresh_workdir(stem);
   const std::string out = g_dir + "/" + stem + "_out.json";
   const std::string log = g_dir + "/" + stem + ".log";
+  const std::string metrics = g_dir + "/" + stem + "_metrics.json";
   std::remove(out.c_str());
+  std::remove(metrics.c_str());
   const std::string chaos =
       "HADAS_CHAOS='crash:" + site + ":" + std::to_string(hit) + "'";
   const std::string label = site + " (hit " + std::to_string(hit) + ", K=" +
                             std::to_string(islands) + ")";
+  const bool coordinator_site = site == "dist.spawn" || site == "dist.merge";
 
-  int code = run_cli(dist_args(islands, workdir, out, "spawn"), chaos, log);
+  int code = run_cli(
+      dist_args(islands, workdir, out, "spawn", "--metrics-out " + metrics),
+      chaos, log);
+  if (coordinator_site) {
+    check(code == hadas::exec::kChaosCrashExitCode,
+          label + ": the coordinator crashed at the site (exit " +
+              std::to_string(code) + ")");
+  } else {
+    check(metric_value(slurp(metrics), "dist.workers_restarted_total") >= 1,
+          label + ": a worker was killed at the site and restarted");
+  }
   if (code == hadas::exec::kChaosCrashExitCode) {
     // The coordinator itself crashed: rerun clean, resuming the workdir.
     code = run_cli(dist_args(islands, workdir, out, "spawn"), "", log);
