@@ -83,7 +83,7 @@ struct HadasConfig {
   const std::atomic<bool>* cancel = nullptr;
   /// Observe-only hook invoked after every completed outer generation with
   /// the number of generations finished so far. Must not mutate search
-  /// state; the dist worker uses it to refresh its heartbeat file.
+  /// state; the dist worker uses it to send heartbeats mid-round.
   std::function<void(std::size_t)> on_generation;
 };
 

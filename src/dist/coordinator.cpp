@@ -3,14 +3,10 @@
 #include <chrono>
 #include <filesystem>
 #include <iostream>
-#include <memory>
-#include <numeric>
 #include <stdexcept>
 
-#include "dist/fork_transport.hpp"
 #include "dist/metrics.hpp"
 #include "dist/net_transport.hpp"
-#include "dist/transport.hpp"
 #include "dist/worker.hpp"
 #include "obs/metrics.hpp"
 #include "util/durable/durable_file.hpp"
@@ -52,38 +48,36 @@ void DistCoordinator::say(const std::string& message) const {
   std::cerr << message << "\n";
 }
 
-bool DistCoordinator::run_islands_inline(
-    const std::vector<std::size_t>& islands, bool failpoints_on) {
+bool DistCoordinator::cancelled() const {
+  return options_.cancel != nullptr &&
+         options_.cancel->load(std::memory_order_relaxed);
+}
+
+bool DistCoordinator::run_islands_inline() {
   const supernet::SearchSpace space = spec_space(spec_);
-  const auto cancelled = [&] {
-    return options_.cancel != nullptr &&
-           options_.cancel->load(std::memory_order_relaxed);
-  };
-  // Round-major sweep: every pass runs each unfinished island's next round
-  // when its inbound migrants are available. The least-advanced island is
-  // always runnable (its ring sender has necessarily passed the boundary it
-  // needs — or is in this very list, behind it, and runs first), so a pass
-  // without progress can only mean corrupted state.
+  // Round-major sweep: every pass steps each unfinished island once. The
+  // least-advanced island is always runnable (its ring sender has
+  // necessarily passed the boundary it needs — or is behind it in this very
+  // pass, and runs first), so a pass without progress can only mean
+  // corrupted state.
   while (true) {
     bool all_done = true;
     bool progressed = false;
-    for (std::size_t island : islands) {
+    for (std::size_t island = 0; island < spec_.islands; ++island) {
       if (cancelled()) return false;
-      const IslandProgress progress = inspect_island(spec_, workdir_, island);
-      if (progress.final_written) continue;
-      all_done = false;
-      if (progress.next_round >= round_count(spec_)) {
-        write_island_final(spec_, workdir_, island, failpoints_on);
-        progressed = true;
-        continue;
+      switch (step_island(space, spec_, workdir_, island,
+                          /*failpoints_on=*/true, options_.cancel)) {
+        case IslandStep::kFinished:
+          continue;
+        case IslandStep::kCancelled:
+          return false;
+        case IslandStep::kAdvanced:
+          progressed = true;
+          break;
+        case IslandStep::kBlocked:
+          break;
       }
-      if (!inbound_ready(space, spec_, workdir_, island, progress.next_round,
-                         failpoints_on))
-        continue;
-      if (!run_island_round(spec_, workdir_, island, progress.next_round,
-                            failpoints_on, options_.cancel))
-        return false;
-      progressed = true;
+      all_done = false;
     }
     if (all_done) return true;
     if (!progressed)
@@ -121,42 +115,17 @@ DistReport DistCoordinator::run() {
   DistMetrics& metrics = dist_metrics();
   metrics.islands.set(static_cast<double>(spec_.islands));
 
-  const auto cancelled = [&] {
-    return options_.cancel != nullptr &&
-           options_.cancel->load(std::memory_order_relaxed);
-  };
-
   if (!options_.spawn) {
-    std::vector<std::size_t> all(spec_.islands);
-    std::iota(all.begin(), all.end(), std::size_t{0});
-    if (!run_islands_inline(all, /*failpoints_on=*/true)) {
+    if (!run_islands_inline()) {
       report.interrupted = true;
       return report;
     }
   } else {
-    const auto log = [this](const std::string& message) { say(message); };
-    std::unique_ptr<DistTransport> transport;
-    if (options_.listen.has_value())
-      transport =
-          std::make_unique<NetTransport>(spec_, workdir_, options_, log);
-    else
-      transport =
-          std::make_unique<ForkTransport>(spec_, workdir_, options_, log);
-    SuperviseOutcome outcome = transport->supervise(report);
-    if (outcome.interrupted) {
+    NetTransport transport(spec_, workdir_, options_,
+                           [this](const std::string& message) { say(message); });
+    if (!transport.supervise(report)) {
       report.interrupted = true;
       return report;
-    }
-    if (!outcome.salvage.empty()) {
-      say("dist: salvaging " + std::to_string(outcome.salvage.size()) +
-          " quarantined island(s) inline — the merged front is still exact, "
-          "but this run had no worker-level parallelism for them");
-      // Salvage runs with dist failpoints suppressed: the chaos schedule
-      // that broke the workers must not also kill the last-resort recovery.
-      if (!run_islands_inline(outcome.salvage, /*failpoints_on=*/false)) {
-        report.interrupted = true;
-        return report;
-      }
     }
   }
 

@@ -20,35 +20,33 @@ namespace hadas::dist {
 /// Supervision knobs of the island coordinator. The defaults suit a real
 /// search; tests shrink the timeouts to exercise the watchdog quickly.
 struct DistOptions {
-  /// Run islands as `hadas worker` subprocesses (the production topology).
-  /// false = evolve every island in-process, sequentially round-major —
-  /// the reference mode the chaos tests byte-compare against.
+  /// Run islands as `hadas worker --connect` subprocesses (the production
+  /// topology). false = evolve every island in-process, sequentially
+  /// round-major — the reference mode the chaos tests byte-compare against.
   bool spawn = true;
-  /// A worker whose heartbeat counter does not advance for this long is
-  /// declared hung and SIGKILLed (then handled like any other crash).
+  /// Heartbeat window. A spawned worker silent for one window is declared
+  /// hung and SIGKILLed (then handled like any other crash); a remote
+  /// worker accumulates one miss per silent window.
   std::size_t heartbeat_ms = 30000;
-  std::size_t poll_ms = 30;          ///< supervision loop period
+  std::size_t poll_ms = 30;          ///< supervision loop idle wait
   std::size_t backoff_ms = 100;      ///< first restart delay (doubles)
   std::size_t backoff_max_ms = 2000; ///< restart delay ceiling
-  /// Consecutive worker failures that trip an island's circuit breaker.
-  /// A tripped island is quarantined: no more subprocess attempts; the
-  /// coordinator finishes it inline after the healthy islands are done.
+  /// Spawned-worker failures (or remote missed windows in a row) that
+  /// quarantine an island: no more workers for it; the coordinator
+  /// finishes it inline, one round per supervision step.
   std::size_t island_failure_threshold = 3;
-  /// Worker-side wait budget for inbound migrants (exit 3 past it).
+  /// Worker-side wait budget without any progress (exit 3 past it).
   std::size_t worker_wait_timeout_ms = 120000;
   /// Chaos schedules (HADAS_CHAOS) are forwarded to first spawns and
   /// stripped from respawns so an every-hit crash rule cannot crash-loop
-  /// every incarnation. true keeps forwarding them — the breaker test uses
-  /// this to force a crash loop and the quarantine path.
+  /// every incarnation. true keeps forwarding them — the quarantine test
+  /// uses this to force a crash loop.
   bool chaos_respawn_keep = false;
-  /// Worker executable; empty = this binary (/proc/self/exe).
-  std::string worker_binary;
   /// Multi-host mode (`hadas search --dist K --listen host:port`): instead
   /// of forking local workers, accept `hadas worker --connect` sessions on
-  /// this endpoint and exchange migrants over the resumable net layer.
-  /// Ignored when spawn is false (inline reference mode).
+  /// this endpoint. Ignored when spawn is false (inline reference mode).
   std::optional<util::HostPort> listen;
-  /// Socket stack for net mode; nullptr = real TCP. Tests inject the
+  /// Socket stack for listen mode; nullptr = real TCP. Tests inject the
   /// deterministic FakeSocketHandler (or a FlakySocketHandler around it).
   net::SocketHandler* socket_handler = nullptr;
   const std::atomic<bool>* cancel = nullptr;  ///< SIGINT/SIGTERM flag
@@ -64,18 +62,18 @@ struct DistReport {
   std::size_t workers_spawned = 0;    ///< first spawns + respawns
   std::size_t workers_restarted = 0;  ///< respawns after a failure
   std::size_t workers_quarantined = 0;
-  std::size_t heartbeat_misses = 0;   ///< hang detections (SIGKILLs)
+  std::size_t heartbeat_misses = 0;   ///< silent heartbeat windows
   std::size_t migrants_exchanged = 0; ///< genomes in valid migrant files
   bool interrupted = false;           ///< cancel fired; workdir resumable
 };
 
 /// Island-model coordinator: partitions the outer population into
-/// spec.islands islands, supervises one worker subprocess per island
-/// (heartbeat watchdog, restart with exponential backoff, per-island
-/// circuit breaker with inline salvage), and merges the island fronts into
-/// one Pareto set. Every decision is derived from the workdir's durable
-/// state, so a killed coordinator is rerun with the same arguments and
-/// converges to the same merged front.
+/// spec.islands islands, supervises one worker per island through a
+/// NetTransport (heartbeat watchdog, restart with exponential backoff,
+/// quarantine with inline salvage), and merges the island fronts into one
+/// Pareto set. Every decision is derived from the workdir's durable state,
+/// so a killed coordinator is rerun with the same arguments and converges
+/// to the same merged front.
 class DistCoordinator {
  public:
   DistCoordinator(DistSpec spec, std::string workdir, DistOptions options = {});
@@ -83,8 +81,8 @@ class DistCoordinator {
   DistReport run();
 
  private:
-  bool run_islands_inline(const std::vector<std::size_t>& islands,
-                          bool failpoints_on);
+  bool cancelled() const;
+  bool run_islands_inline();
   void say(const std::string& message) const;
 
   DistSpec spec_;

@@ -188,11 +188,11 @@ std::string migrants_path(const std::string& workdir, std::size_t island,
   return workdir + "/migrants_i" + std::to_string(island) + "_r" +
          std::to_string(round) + ".json";
 }
-std::string heartbeat_path(const std::string& workdir, std::size_t island) {
-  return numbered(workdir, "island", island, ".hb");
+std::string worker_dir(const std::string& workdir, std::size_t island) {
+  return workdir + "/worker-" + std::to_string(island);
 }
 std::string log_path(const std::string& workdir, std::size_t island) {
-  return numbered(workdir, "island", island, ".log");
+  return worker_dir(workdir, island) + "/worker.log";
 }
 
 std::size_t round_count(const DistSpec& spec) {

@@ -25,9 +25,9 @@ inline constexpr int kWorkerExitWaitTimeout = 3;  ///< inbound migrants never ca
 /// The complete, serializable description of one distributed search: the
 /// base search problem (exactly the `hadas search` flags that shape the
 /// evaluation/evolution stream) plus the island topology. The coordinator
-/// writes it durably into the workdir; workers reconstruct their island
-/// configuration from it alone, so a respawned worker needs nothing but
-/// `--spec F --island I`.
+/// writes it durably into the workdir and hands it to every worker in the
+/// session WELCOME; a worker reconstructs its island configuration from it
+/// alone, so it needs nothing but the coordinator endpoint and `--island I`.
 struct DistSpec {
   std::string device = "tx2-gpu";  ///< CLI device key (see devices cmd)
   std::string space = "attentive"; ///< "attentive" | "ofa"
@@ -79,7 +79,10 @@ std::string chain_path(const std::string& workdir, std::size_t island);
 std::string final_path(const std::string& workdir, std::size_t island);
 std::string migrants_path(const std::string& workdir, std::size_t island,
                           std::size_t round);
-std::string heartbeat_path(const std::string& workdir, std::size_t island);
+/// State directory of island `island`'s spawned worker (its --state-dir).
+/// The worker is the only process that writes under it.
+std::string worker_dir(const std::string& workdir, std::size_t island);
+/// stdout/stderr of island `island`'s spawned worker, inside worker_dir.
 std::string log_path(const std::string& workdir, std::size_t island);
 
 /// --- Round arithmetic. A round is `migration_every` generations (the last
@@ -147,8 +150,9 @@ bool migrants_file_valid(const std::string& path);
 /// `round`: a no-op when a valid file already exists, otherwise the island's
 /// chain is searched for the round-boundary checkpoint and the file
 /// rewritten from it. Returns false when no slot holds that boundary (the
-/// caller keeps waiting — the owner is still evolving toward it). Safe to
-/// call from any process: the bytes are deterministic and the write atomic.
+/// caller keeps waiting — the owner is still evolving toward it). Only the
+/// process that owns `workdir` calls it: the write goes through a fixed
+/// `<path>.tmp`, so two writers of one directory could collide.
 bool ensure_migrants_file(const supernet::SearchSpace& space,
                           const DistSpec& spec, const std::string& workdir,
                           std::size_t island, std::size_t round,

@@ -5,7 +5,7 @@
 namespace hadas::dist {
 
 /// dist.* instruments, resolved once against the global MetricsRegistry and
-/// shared by the coordinator and its transports. Strictly observe-only.
+/// shared by the coordinator and its NetTransport. Strictly observe-only.
 struct DistMetrics {
   obs::Counter& spawned;
   obs::Counter& restarted;

@@ -1,7 +1,16 @@
 #include "dist/net_transport.hpp"
 
+#include <fcntl.h>
+#include <signal.h>
+#include <sys/prctl.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <thread>
 
 #include "dist/metrics.hpp"
 #include "dist/worker.hpp"
@@ -10,16 +19,11 @@
 #include "util/failpoint.hpp"
 #include "util/strutil.hpp"
 
+extern char** environ;
+
 namespace hadas::dist {
 
 namespace {
-
-net::Frame ack_frame(std::uint64_t read_seq) {
-  net::Frame frame;
-  frame.type = net::FrameType::kAck;
-  net::put_u64(frame.payload, read_seq);
-  return frame;
-}
 
 const net::BackedWriter& empty_writer() {
   static const net::BackedWriter writer;
@@ -31,6 +35,49 @@ std::string hex16(std::uint64_t v) {
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(v));
   return std::string(buf, 16);
+}
+
+std::string describe_exit(int status) {
+  if (WIFEXITED(status))
+    return "exit code " + std::to_string(WEXITSTATUS(status));
+  if (WIFSIGNALED(status))
+    return "signal " + std::to_string(WTERMSIG(status));
+  return "status " + std::to_string(status);
+}
+
+/// A spawned worker's environment: HADAS_DIST_HANG never survives a respawn
+/// (it is a one-shot hang injection), and HADAS_CHAOS only does in keep
+/// mode — a plain crash schedule gets exactly one incarnation to fire, so
+/// recovery runs clean, while keep mode deliberately produces a crash loop
+/// for the quarantine path.
+std::vector<std::string> child_environment(bool respawn, bool chaos_keep) {
+  std::vector<std::string> env;
+  for (char** e = environ; *e != nullptr; ++e) {
+    const std::string entry(*e);
+    if (respawn && util::starts_with(entry, "HADAS_DIST_HANG=")) continue;
+    if (respawn && !chaos_keep && util::starts_with(entry, "HADAS_CHAOS="))
+      continue;
+    env.push_back(entry);
+  }
+  return env;
+}
+
+/// NULL-terminated pointer array over `strings` for execve.
+std::vector<char*> c_strings(std::vector<std::string>& strings) {
+  std::vector<char*> pointers;
+  pointers.reserve(strings.size() + 1);
+  for (std::string& entry : strings) pointers.push_back(entry.data());
+  pointers.push_back(nullptr);
+  return pointers;
+}
+
+}  // namespace
+
+net::Frame ack_frame(std::uint64_t read_seq) {
+  net::Frame frame;
+  frame.type = net::FrameType::kAck;
+  net::put_u64(frame.payload, read_seq);
+  return frame;
 }
 
 util::Json rounds_to_json(const std::set<std::size_t>& rounds) {
@@ -46,8 +93,6 @@ std::set<std::size_t> rounds_from_json(const util::Json& json) {
     rounds.insert(util::parse_size("session round", entry.as_string()));
   return rounds;
 }
-
-}  // namespace
 
 std::string dist_session_id(std::size_t island) {
   return "island-" + std::to_string(island);
@@ -106,6 +151,53 @@ std::string dist_chunk_key(const DistChunk& chunk) {
          std::to_string(chunk.round);
 }
 
+bool ChunkRun::accept(const DistChunk& chunk, const std::string& dir) {
+  const std::string chunk_key = dist_chunk_key(chunk);
+  if (!key.empty() && key != chunk_key)
+    throw net::ProtocolError("dist-net: interleaved chunk runs ('" + key +
+                             "' interrupted by '" + chunk_key + "')");
+  if (!chunk.last) {
+    key = chunk_key;
+    partial += chunk.bytes;
+    return false;
+  }
+  const std::string text = partial + chunk.bytes;
+  partial.clear();
+  key.clear();
+
+  const bool final = chunk.type == net::FrameType::kDistFinal;
+  const std::string path = final ? final_path(dir, chunk.island)
+                                 : migrants_path(dir, chunk.island, chunk.round);
+  const bool wrote = util::durable::DurableFile::write_idempotent(
+      path, final ? kIslandResultFormatTag : kMigrantsFormatTag, text);
+  std::string problem;
+  try {
+    if (final) {
+      (void)load_island_result(path);
+    } else if (const MigrantSet set = load_migrants_file(path);
+               set.island != chunk.island || set.round != chunk.round) {
+      problem = "it carries island " + std::to_string(set.island) +
+                " round " + std::to_string(set.round);
+    }
+  } catch (const util::durable::CheckpointCorruptError& error) {
+    problem = error.what();
+  }
+  if (!problem.empty()) {
+    std::error_code ec;
+    std::filesystem::remove(path, ec);
+    throw net::ProtocolError("dist-net: malformed payload for '" + chunk_key +
+                             "': " + problem);
+  }
+  DistNetMetrics& metrics = dist_net_metrics();
+  if (final) {
+    metrics.finals_received.inc();
+  } else {
+    metrics.migrant_sets_received.inc();
+    if (!wrote) metrics.migrant_sets_replayed.inc();
+  }
+  return true;
+}
+
 DistNetMetrics& dist_net_metrics() {
   static DistNetMetrics metrics;
   return metrics;
@@ -120,8 +212,10 @@ NetTransport::NetTransport(DistSpec spec, std::string workdir,
       say_(std::move(say)),
       fingerprint_(spec_fingerprint(spec_)),
       space_(spec_space(spec_)) {
-  if (!options_.listen.has_value())
-    throw std::invalid_argument("NetTransport: options.listen is required");
+  if (spawning() && options_.socket_handler != nullptr)
+    throw std::invalid_argument(
+        "NetTransport: spawned workers dial real TCP; a custom socket "
+        "handler needs options.listen");
   if (options_.socket_handler == nullptr)
     owned_handler_ = std::make_unique<net::TcpSocketHandler>();
   // Materialize the dist.net.* family up front so a --metrics-out snapshot
@@ -130,6 +224,7 @@ NetTransport::NetTransport(DistSpec spec, std::string workdir,
 }
 
 NetTransport::~NetTransport() {
+  stop_workers(std::chrono::milliseconds(0));
   for (const std::unique_ptr<Conn>& conn : connections_)
     if (conn != nullptr) conn->transport.drop();
   if (started_) handler().close_listener(listener_);
@@ -155,7 +250,13 @@ void NetTransport::start() {
     done_[i] = island_final_valid(final_path(workdir_, i));
     sessions_[i].last_activity = now;
   }
-  listener_ = handler().listen(*options_.listen);
+  if (spawning()) {
+    listener_ = owned_handler_->listen({"127.0.0.1", 0});
+    port_ = owned_handler_->bound_port(listener_);
+    local_.resize(spec_.islands);
+  } else {
+    listener_ = handler().listen(*options_.listen);
+  }
   started_ = true;
 }
 
@@ -209,8 +310,8 @@ NetTransport::IslandSession* NetTransport::find_session(std::size_t island) {
   session.writer.restore(state->write_acked, state->write_unacked);
   session.reader.restore(state->read_seq);
   session.pushed = rounds_from_json(state->app.at("pushed"));
-  session.partial = state->app.at("partial").as_string();
-  session.partial_key = state->app.at("partial_key").as_string();
+  session.inbound.partial = state->app.at("partial").as_string();
+  session.inbound.key = state->app.at("partial_key").as_string();
   session.live = true;
   dist_net_metrics().sessions_resumed.inc();
   return &session;
@@ -226,8 +327,8 @@ void NetTransport::save_session(std::size_t island) {
   state.read_seq = session.reader.read_seq();
   util::Json::Object app;
   app["pushed"] = rounds_to_json(session.pushed);
-  app["partial"] = util::Json(session.partial);
-  app["partial_key"] = util::Json(session.partial_key);
+  app["partial"] = util::Json(session.inbound.partial);
+  app["partial_key"] = util::Json(session.inbound.key);
   state.app = util::Json(std::move(app));
   net::save_session_state(dist_session_path(workdir_, island), state,
                           kDistSessionFormatTag);
@@ -339,9 +440,8 @@ bool NetTransport::handle_hello(Conn& conn, const net::Frame& frame) {
   return true;
 }
 
-void NetTransport::apply_app_frame(std::size_t island, IslandSession& session,
-                                   const net::Frame& frame, bool& completed,
-                                   DistReport& report) {
+bool NetTransport::apply_app_frame(std::size_t island, IslandSession& session,
+                                   const net::Frame& frame) {
   if (frame.type != net::FrameType::kDistMigrants &&
       frame.type != net::FrameType::kDistFinal)
     throw net::ProtocolError(
@@ -353,73 +453,26 @@ void NetTransport::apply_app_frame(std::size_t island, IslandSession& session,
     throw net::ProtocolError(
         "dist-net: island " + std::to_string(island) +
         " sent an artifact labelled island " + std::to_string(chunk.island));
-  const std::string key = dist_chunk_key(chunk);
-  if (!session.partial_key.empty() && session.partial_key != key)
-    throw net::ProtocolError("dist-net: interleaved chunk runs ('" +
-                             session.partial_key + "' interrupted by '" + key +
-                             "') from island " + std::to_string(island));
-  if (!chunk.last) {
-    session.partial_key = key;
-    session.partial += chunk.bytes;
-    return;
-  }
-  const std::string text = session.partial + chunk.bytes;
-  session.partial.clear();
-  session.partial_key.clear();
-
-  if (chunk.type == net::FrameType::kDistMigrants) {
-    if (chunk.round + 1 >= round_count(spec_))
-      throw net::ProtocolError("dist-net: migrant round " +
-                               std::to_string(chunk.round) + " out of range");
-    const std::string path = migrants_path(workdir_, island, chunk.round);
-    const bool wrote = util::durable::DurableFile::write_idempotent(
-        path, kMigrantsFormatTag, text);
-    try {
-      const MigrantSet set = load_migrants_file(path);
-      if (set.island != island || set.round != chunk.round)
-        throw net::ProtocolError(
-            "dist-net: migrant payload of island " + std::to_string(island) +
-            " round " + std::to_string(chunk.round) +
-            " carries island " + std::to_string(set.island) + " round " +
-            std::to_string(set.round));
-    } catch (const util::durable::CheckpointCorruptError& error) {
-      std::error_code ec;
-      std::filesystem::remove(path, ec);
-      throw net::ProtocolError(
-          std::string("dist-net: malformed migrant payload: ") + error.what());
-    }
-    dist_net_metrics().migrant_sets_received.inc();
-    if (!wrote) dist_net_metrics().migrant_sets_replayed.inc();
-    return;
-  }
-
-  // kDistFinal: the island result. Written verbatim, validated, then the
-  // session completes (journal GC'd after the ack below).
-  const std::string path = final_path(workdir_, island);
-  util::durable::DurableFile::write_idempotent(path, kIslandResultFormatTag,
-                                               text);
-  try {
-    (void)load_island_result(path);
-  } catch (const util::durable::CheckpointCorruptError& error) {
-    std::error_code ec;
-    std::filesystem::remove(path, ec);
-    throw net::ProtocolError(
-        std::string("dist-net: malformed island result payload: ") +
-        error.what());
-  }
-  dist_net_metrics().finals_received.inc();
+  if (chunk.type == net::FrameType::kDistMigrants &&
+      chunk.round + 1 >= round_count(spec_))
+    throw net::ProtocolError("dist-net: migrant round " +
+                             std::to_string(chunk.round) + " out of range");
+  if (!session.inbound.accept(chunk, workdir_) ||
+      chunk.type != net::FrameType::kDistFinal)
+    return false;
+  // The island result is durable: the session completes (journal GC'd
+  // after the ack in advance_session).
   done_[island] = true;
-  (void)report;
-  completed = true;
+  return true;
 }
 
-bool NetTransport::advance_session(Conn& conn, DistReport& report) {
+bool NetTransport::advance_session(Conn& conn) {
   IslandSession& session = sessions_[conn.island];
   bool mutated = false;
   bool completed = false;
   while (std::optional<net::PeekedFrame> peeked =
              net::peek_frame(session.reader.inbox())) {
-    apply_app_frame(conn.island, session, peeked->frame, completed, report);
+    completed |= apply_app_frame(conn.island, session, peeked->frame);
     session.reader.consume(peeked->encoded_size);
     mutated = true;
   }
@@ -474,7 +527,8 @@ bool NetTransport::push_migrants(Conn& conn) {
   return appended;
 }
 
-void NetTransport::quarantine(std::size_t island, DistReport& report) {
+void NetTransport::quarantine(std::size_t island, const std::string& reason,
+                              DistReport& report) {
   IslandSession& session = sessions_[island];
   session.quarantined = true;
   ++report.workers_quarantined;
@@ -483,11 +537,8 @@ void NetTransport::quarantine(std::size_t island, DistReport& report) {
   hadas::util::failpoint("dist.salvage");
   for (const std::unique_ptr<Conn>& conn : connections_)
     if (conn != nullptr && conn->island == island) conn->transport.drop();
-  say_("dist-net: WARNING island " + std::to_string(island) +
-       " quarantined after " +
-       std::to_string(std::max<std::size_t>(
-           1, options_.island_failure_threshold)) +
-       " missed heartbeat windows (partitioned?); finishing it inline");
+  say_("dist: WARNING island " + std::to_string(island) + " quarantined after " +
+       reason + "; finishing it inline");
 }
 
 bool NetTransport::watchdog(DistReport& report) {
@@ -500,59 +551,206 @@ bool NetTransport::watchdog(DistReport& report) {
   for (std::size_t island = 0; island < sessions_.size(); ++island) {
     IslandSession& session = sessions_[island];
     if (done_[island] || session.quarantined) continue;
+    // A spawned worker that is not running cannot be silent: its restart
+    // backoff is ours.
+    if (spawning() && local_[island].pid < 0) continue;
     if (now - session.last_activity <= window) continue;
     session.last_activity = now;
-    ++session.misses;
     ++report.heartbeat_misses;
     dist_metrics().heartbeat_misses.inc();
+    progress = true;
+    if (spawning()) {
+      // A local worker gets one window: it is hung, not partitioned.
+      ::kill(local_[island].pid, SIGKILL);
+      int status = 0;
+      ::waitpid(local_[island].pid, &status, 0);
+      worker_failed(island, "heartbeat stalled, SIGKILLed", report);
+      continue;
+    }
+    ++session.misses;
     say_("dist-net: island " + std::to_string(island) +
          " heartbeat window missed (" + std::to_string(session.misses) + "/" +
          std::to_string(threshold) + ")");
-    progress = true;
-    if (session.misses >= threshold) quarantine(island, report);
+    if (session.misses >= threshold)
+      quarantine(island,
+                 std::to_string(threshold) +
+                     " missed heartbeat windows (partitioned?)",
+                 report);
   }
   return progress;
 }
 
 bool NetTransport::salvage_step() {
   bool progress = false;
-  bool ran_round = false;
+  bool ran = false;
   for (std::size_t island = 0; island < sessions_.size(); ++island) {
     if (!sessions_[island].quarantined || done_[island]) continue;
     if (cancelled()) return progress;
-    const IslandProgress state = inspect_island(spec_, workdir_, island);
-    if (state.final_written) {
-      done_[island] = true;
-      progress = true;
-      continue;
+    // Dist failpoints stay off: the chaos schedule that broke the workers
+    // must not also kill the last-resort recovery. A blocked island waits
+    // for its sender's migrants — uploaded by a healthy worker or written
+    // by this same salvage — and is retried next step.
+    switch (step_island(space_, spec_, workdir_, island,
+                        /*failpoints_on=*/false, options_.cancel)) {
+      case IslandStep::kFinished:
+        done_[island] = true;
+        progress = true;
+        break;
+      case IslandStep::kAdvanced:
+        ran = true;
+        progress = true;
+        break;
+      case IslandStep::kBlocked:
+        break;
+      case IslandStep::kCancelled:
+        return progress;  // state checkpointed
     }
-    if (state.next_round >= round_count(spec_)) {
-      write_island_final(spec_, workdir_, island, /*failpoints_on=*/false);
-      done_[island] = true;
-      progress = true;
-      continue;
-    }
-    // A remote sender's migrants arrive through its session as durable
-    // files; a local (also-quarantined) sender's are regenerable from its
-    // chain. Neither ready: keep the event loop moving and retry next step.
-    if (!inbound_ready(space_, spec_, workdir_, island, state.next_round,
-                       /*failpoints_on=*/false))
-      continue;
-    if (!run_island_round(spec_, workdir_, island, state.next_round,
-                          /*failpoints_on=*/false, options_.cancel))
-      return progress;  // cancelled mid-round (state checkpointed)
-    if (state.next_round + 1 == round_count(spec_))
-      done_[island] = island_final_valid(final_path(workdir_, island));
-    ran_round = true;
-    progress = true;
   }
-  if (ran_round) {
-    // An inline round blocked this loop for seconds; the silence was ours,
+  if (ran) {
+    // An inline step blocked this loop for seconds; the silence was ours,
     // not the workers' — restart every live island's activity window.
     const auto now = Clock::now();
     for (IslandSession& session : sessions_) session.last_activity = now;
   }
   return progress;
+}
+
+bool NetTransport::reap_and_spawn(DistReport& report) {
+  bool progress = false;
+  const auto now = Clock::now();
+  for (std::size_t island = 0; island < local_.size(); ++island) {
+    LocalWorker& worker = local_[island];
+    if (worker.pid > 0) {
+      int status = 0;
+      if (::waitpid(worker.pid, &status, WNOHANG) != worker.pid) continue;
+      worker.pid = -1;
+      progress = true;
+      // A worker exits 0 only after the ack of its durable result, so an
+      // island still open here lost its worker.
+      if (!done_[island]) worker_failed(island, describe_exit(status), report);
+    } else if (!done_[island] && !sessions_[island].quarantined &&
+               now >= worker.next_start) {
+      spawn_worker(island, report);
+      progress = true;
+    }
+  }
+  return progress;
+}
+
+void NetTransport::spawn_worker(std::size_t island, DistReport& report) {
+  LocalWorker& worker = local_[island];
+  hadas::util::failpoint("dist.spawn");
+  const bool respawn = worker.failures > 0;
+  const std::string dir = worker_dir(workdir_, island);
+  std::filesystem::create_directories(dir);
+  const std::string log_file = log_path(workdir_, island);
+  // Everything the child needs is built before fork(): between fork and
+  // exec it only makes async-signal-safe calls.
+  std::vector<std::string> args = {
+      "/proc/self/exe",
+      "worker",
+      "--connect",
+      "127.0.0.1:" + std::to_string(port_),
+      "--island",
+      std::to_string(island),
+      "--state-dir",
+      dir,
+      "--wait-timeout-ms",
+      std::to_string(options_.worker_wait_timeout_ms)};
+  std::vector<std::string> env =
+      child_environment(respawn, options_.chaos_respawn_keep);
+  const std::vector<char*> argv = c_strings(args);
+  const std::vector<char*> envp = c_strings(env);
+  const pid_t coordinator = ::getpid();
+  const pid_t pid = ::fork();
+  if (pid < 0)
+    throw std::runtime_error(std::string("dist: fork failed: ") +
+                             std::strerror(errno));
+  if (pid == 0) {
+    // Die with the coordinator: an orphan would keep writing its state
+    // directory while a rerun's worker writes the same one. The signal
+    // fires when the forking thread exits, which is the supervising one,
+    // alive for the whole run. The getppid() check catches a coordinator
+    // that died before prctl took effect.
+    ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (::getppid() != coordinator) ::_exit(127);
+    const int fd =
+        ::open(log_file.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+    if (fd >= 0) {
+      ::dup2(fd, STDOUT_FILENO);
+      ::dup2(fd, STDERR_FILENO);
+    }
+    // The listener and the other islands' sessions stay the coordinator's.
+    ::close_range(3, ~0U, 0);
+    ::execve(argv[0], argv.data(), envp.data());
+    static const char message[] = "dist: exec of the worker binary failed\n";
+    (void)!::write(STDERR_FILENO, message, sizeof(message) - 1);
+    ::_exit(127);
+  }
+  worker.pid = pid;
+  sessions_[island].last_activity = Clock::now();
+  ++report.workers_spawned;
+  dist_metrics().spawned.inc();
+  if (respawn) {
+    ++report.workers_restarted;
+    dist_metrics().restarted.inc();
+  }
+}
+
+void NetTransport::worker_failed(std::size_t island, const std::string& why,
+                                 DistReport& report) {
+  LocalWorker& worker = local_[island];
+  worker.pid = -1;
+  const std::size_t threshold =
+      std::max<std::size_t>(1, options_.island_failure_threshold);
+  if (++worker.failures >= threshold) {
+    quarantine(island,
+               std::to_string(threshold) + " worker failure(s) (last: " + why +
+                   ")",
+               report);
+    return;
+  }
+  std::size_t delay = std::max<std::size_t>(1, options_.backoff_ms);
+  const std::size_t ceiling = std::max<std::size_t>(1, options_.backoff_max_ms);
+  for (std::size_t i = 1; i < worker.failures && delay < ceiling; ++i)
+    delay *= 2;
+  worker.next_start =
+      Clock::now() + std::chrono::milliseconds(std::min(delay, ceiling));
+  say_("dist: island " + std::to_string(island) + " worker failed (" + why +
+       "), restart " + std::to_string(worker.failures) + " after backoff");
+}
+
+void NetTransport::stop_workers(std::chrono::milliseconds grace) {
+  const auto signal_all = [&](int signal) {
+    for (const LocalWorker& worker : local_)
+      if (worker.pid > 0) ::kill(worker.pid, signal);
+  };
+  if (grace.count() > 0) {
+    // SIGTERM lets workers checkpoint and exit 75; stragglers are
+    // SIGKILLed below (their round replays on resume).
+    signal_all(SIGTERM);
+    const auto deadline = Clock::now() + grace;
+    bool any = true;
+    while (any && Clock::now() < deadline) {
+      any = false;
+      for (LocalWorker& worker : local_) {
+        if (worker.pid <= 0) continue;
+        int status = 0;
+        if (::waitpid(worker.pid, &status, WNOHANG) == worker.pid)
+          worker.pid = -1;
+        else
+          any = true;
+      }
+      if (any) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+  }
+  signal_all(SIGKILL);
+  for (LocalWorker& worker : local_) {
+    if (worker.pid <= 0) continue;
+    int status = 0;
+    ::waitpid(worker.pid, &status, 0);
+    worker.pid = -1;
+  }
 }
 
 bool NetTransport::step(DistReport& report) {
@@ -607,7 +805,7 @@ bool NetTransport::step(DistReport& report) {
       }
       if (ok && conn.handshaken && !conn.closing &&
           sessions_[conn.island].live)
-        progress |= advance_session(conn, report);
+        progress |= advance_session(conn);
       if (ok && conn.handshaken && !conn.closing &&
           !sessions_[conn.island].quarantined)
         progress |= push_migrants(conn);
@@ -631,28 +829,34 @@ bool NetTransport::step(DistReport& report) {
   }
   std::erase_if(connections_,
                 [](const std::unique_ptr<Conn>& c) { return c == nullptr; });
+  if (spawning()) progress |= reap_and_spawn(report);
   progress |= watchdog(report);
   progress |= salvage_step();
   return progress;
 }
 
-SuperviseOutcome NetTransport::supervise(DistReport& report) {
+bool NetTransport::supervise(DistReport& report) {
   start();
-  SuperviseOutcome outcome;
-  say_("dist-net: listening on " + options_.listen->host + ":" +
-       std::to_string(options_.listen->port) + " for " +
-       std::to_string(spec_.islands) + " island worker(s)");
+  if (!spawning())
+    say_("dist-net: listening on " + options_.listen->host + ":" +
+         std::to_string(options_.listen->port) + " for " +
+         std::to_string(spec_.islands) + " island worker(s)");
+  const auto workers_running = [&] {
+    for (const LocalWorker& worker : local_)
+      if (worker.pid > 0) return true;
+    return false;
+  };
   std::optional<Clock::time_point> finished_at;
   while (true) {
     if (cancelled()) {
-      outcome.interrupted = true;
-      return outcome;
+      stop_workers(std::chrono::seconds(10));
+      return false;
     }
     const bool progress = step(report);
     if (finished()) {
       // Drain: closing connections still hold final acks the workers need
       // to exit; keep pumping briefly, then stop accepting new work.
-      if (connections_.empty()) break;
+      if (connections_.empty() && !workers_running()) break;
       if (!finished_at.has_value()) finished_at = Clock::now();
       if (Clock::now() - *finished_at > std::chrono::seconds(5)) break;
     }
@@ -660,7 +864,7 @@ SuperviseOutcome NetTransport::supervise(DistReport& report) {
       handler().wait(
           static_cast<int>(std::max<std::size_t>(1, options_.poll_ms)));
   }
-  return outcome;
+  return true;
 }
 
 }  // namespace hadas::dist

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <sys/types.h>
+
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -10,7 +12,6 @@
 #include <vector>
 
 #include "dist/coordinator.hpp"
-#include "dist/transport.hpp"
 #include "net/backed_stream.hpp"
 #include "net/connection.hpp"
 #include "net/frame.hpp"
@@ -25,7 +26,8 @@ namespace hadas::dist {
 /// the resumable stream of src/net.
 ///
 /// Each island is one session ("island-<i>") between a `hadas worker
-/// --connect` process and the coordinator's NetTransport. The handshake is
+/// --connect` process (spawned locally or dialing in from another host) and
+/// the coordinator's NetTransport. The handshake is
 /// the serve protocol's HELLO/WELCOME (same kRefuse semantics), except the
 /// WELCOME also carries the DistSpec, so a net worker needs nothing but the
 /// endpoint, its island index and a local state directory. Durable
@@ -33,8 +35,8 @@ namespace hadas::dist {
 /// logical stream — migrant files upstream and downstream, the island
 /// result upstream — chunked under the frame payload cap and carrying the
 /// exact durable-file payload text, which the receiver writes verbatim
-/// (same format tag), so every file is byte-identical to what a shared-
-/// workdir run would hold. Both ends obey the save-before-ack invariant: a
+/// (same format tag), so every file is byte-identical to what an inline run
+/// writes. Both ends obey the save-before-ack invariant: a
 /// chunk is acked only after the receiving side journaled its consumption
 /// (and, for a completed blob, durably wrote the artifact), so a killed
 /// worker, a severed link or a restarted coordinator never loses or
@@ -87,6 +89,28 @@ DistChunk parse_dist_chunk(const net::Frame& frame);
 /// detected as a protocol violation instead of corrupting an artifact.
 std::string dist_chunk_key(const DistChunk& chunk);
 
+/// Reassembly of the chunk runs one session end receives. Both fields are
+/// journaled with the session, so a resumed stream continues a half-received
+/// blob.
+struct ChunkRun {
+  std::string partial;  ///< bytes of the open run
+  std::string key;      ///< dist_chunk_key of the open run; empty = none
+
+  /// Take the next chunk. The last chunk of a run completes its blob, which
+  /// is stored verbatim (idempotently) as the artifact it carries in `dir`,
+  /// then loaded back to validate it; a corrupt or mislabelled payload is
+  /// removed again. Returns true when this chunk completed an artifact.
+  /// Throws net::ProtocolError on interleaved runs and bad payloads.
+  bool accept(const DistChunk& chunk, const std::string& dir);
+};
+
+/// The kAck frame reporting `read_seq` stream bytes durably consumed.
+net::Frame ack_frame(std::uint64_t read_seq);
+
+/// A journaled set of migration rounds (pushed down / uploaded) as JSON.
+util::Json rounds_to_json(const std::set<std::size_t>& rounds);
+std::set<std::size_t> rounds_from_json(const util::Json& json);
+
 /// dist.net.* instruments (global registry; exported via --metrics-out /
 /// metrics-dump like the dist.* and net.* families). Strictly observe-only.
 struct DistNetMetrics {
@@ -113,29 +137,45 @@ struct DistNetMetrics {
 
 DistNetMetrics& dist_net_metrics();
 
-/// The multi-host transport: the coordinator listens on options.listen and
-/// supervises one resumable session per island. Workers upload their
-/// migrant files and island result; the coordinator persists every artifact
-/// verbatim into its workdir (the single ground truth the merge reads) and
-/// pushes each island's inbound migrants — whoever produced them — down its
-/// session. Heartbeats piggyback on transport acks: any frame from an
-/// island resets its activity clock, and a worker in a long round keeps
-/// sending duplicate acks from its generation callback. An island silent
-/// for more than heartbeat_ms accumulates misses; at island_failure_
-/// threshold misses it is quarantined (further handshakes refused) and
-/// salvaged *incrementally inside this event loop* — one inline round per
-/// step — because its ring successor may be a healthy remote worker blocked
-/// on exactly those migrants. A killed coordinator restarts, reloads every
-/// session journal on the next HELLO and converges byte-identically.
-class NetTransport : public DistTransport {
+/// The coordinator's island supervisor: one resumable session per island.
+/// Workers upload their migrant files and island result; the coordinator
+/// persists every artifact verbatim into its workdir (the single ground
+/// truth the merge reads) and pushes each island's inbound migrants —
+/// whoever produced them — down its session. Heartbeats piggyback on
+/// transport acks: any frame from an island resets its activity clock, and
+/// a worker in a long round keeps sending duplicate acks from its
+/// generation callback.
+///
+/// Where the workers come from depends on options.listen:
+///  - set: remote `hadas worker --connect` processes dial in. An island
+///    silent for more than heartbeat_ms accumulates a miss; after
+///    island_failure_threshold misses in a row it is quarantined.
+///  - unset (spawn mode): the transport listens on an ephemeral 127.0.0.1
+///    port and forks one local `hadas worker --connect` per island, each
+///    writing only its own worker_dir(), and reaps them in the step() loop.
+///    A worker that exits before its island is done, or that stays silent
+///    for one heartbeat window (and is SIGKILLed), counts one failure and
+///    is restarted after an exponential backoff; island_failure_threshold
+///    failures quarantine the island. Only completion ends the count — a
+///    reconnect does not, or a crash loop would never trip it. Children
+///    die with the coordinator (PR_SET_PDEATHSIG), so a rerun never races
+///    an orphan for a state directory.
+///
+/// A quarantined island is refused further handshakes and salvaged
+/// *incrementally inside this event loop* — one inline step per step() —
+/// because its ring successor may be a healthy worker blocked on exactly
+/// those migrants. A killed coordinator restarts, reloads every session
+/// journal on the next HELLO and converges byte-identically.
+class NetTransport {
  public:
   NetTransport(DistSpec spec, std::string workdir, const DistOptions& options,
                std::function<void(const std::string&)> say);
-  ~NetTransport() override;
+  ~NetTransport();
 
-  const char* name() const override { return "net"; }
-
-  SuperviseOutcome supervise(DistReport& report) override;
+  /// Drive every island to a durable result file in the workdir. Returns
+  /// false when options.cancel fired: spawned workers get SIGTERM, a 10 s
+  /// grace to checkpoint, then SIGKILL; the workdir stays resumable.
+  bool supervise(DistReport& report);
 
   /// --- Cooperative surface (supervise() is a loop over step(); tests
   /// drive it directly against steppable NetWorker endpoints).
@@ -153,8 +193,7 @@ class NetTransport : public DistTransport {
     net::BackedWriter writer;
     net::BackedReader reader;
     std::set<std::size_t> pushed;  ///< inbound rounds queued down the stream
-    std::string partial;           ///< chunk-run accumulator
-    std::string partial_key;
+    ChunkRun inbound;
     bool live = false;  ///< in-memory state materialized (fresh or restored)
     bool quarantined = false;
     std::size_t misses = 0;
@@ -171,20 +210,33 @@ class NetTransport : public DistTransport {
     bool closing = false;
   };
 
+  /// One spawned worker slot (spawn mode only).
+  struct LocalWorker {
+    pid_t pid = -1;  ///< -1 when not running
+    std::size_t failures = 0;
+    Clock::time_point next_start{};
+  };
+
+  bool spawning() const { return !options_.listen.has_value(); }
   net::SocketHandler& handler();
   bool cancelled() const;
   IslandSession* find_session(std::size_t island);
   void save_session(std::size_t island);
   bool refuse(Conn& conn, const std::string& reason);
   bool handle_hello(Conn& conn, const net::Frame& frame);
-  void apply_app_frame(std::size_t island, IslandSession& session,
-                       const net::Frame& frame, bool& completed,
-                       DistReport& report);
-  bool advance_session(Conn& conn, DistReport& report);
+  bool apply_app_frame(std::size_t island, IslandSession& session,
+                       const net::Frame& frame);
+  bool advance_session(Conn& conn);
   bool push_migrants(Conn& conn);
-  void quarantine(std::size_t island, DistReport& report);
+  void quarantine(std::size_t island, const std::string& reason,
+                  DistReport& report);
   bool watchdog(DistReport& report);
   bool salvage_step();
+  bool reap_and_spawn(DistReport& report);
+  void spawn_worker(std::size_t island, DistReport& report);
+  void worker_failed(std::size_t island, const std::string& why,
+                     DistReport& report);
+  void stop_workers(std::chrono::milliseconds grace);
   void touch_activity(std::size_t island);
   void observe_acked(IslandSession& session, std::uint64_t acked);
 
@@ -194,11 +246,13 @@ class NetTransport : public DistTransport {
   std::function<void(const std::string&)> say_;
   std::string fingerprint_;
   supernet::SearchSpace space_;
-  std::unique_ptr<net::SocketHandler> owned_handler_;
+  std::unique_ptr<net::TcpSocketHandler> owned_handler_;
   std::vector<IslandSession> sessions_;
   std::vector<bool> done_;
   std::vector<std::unique_ptr<Conn>> connections_;
+  std::vector<LocalWorker> local_;
   int listener_ = -1;
+  std::uint16_t port_ = 0;  ///< spawn mode: where the children dial
   bool started_ = false;
 };
 

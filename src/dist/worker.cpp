@@ -1,10 +1,8 @@
 #include "dist/worker.hpp"
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
 #include <thread>
 
@@ -23,10 +21,10 @@ bool cancelled(const std::atomic<bool>* cancel) {
   return cancel != nullptr && cancel->load(std::memory_order_relaxed);
 }
 
-/// Test hook: HADAS_DIST_HANG="<island>:<round>" freezes the worker
-/// (without heartbeats) before running that round, so the coordinator's
-/// hang watchdog can be exercised deterministically. Like HADAS_CHAOS it is
-/// stripped from the environment on respawn.
+/// Test hook: HADAS_DIST_HANG="<island>:<round>" freezes the process
+/// stepping that island (without heartbeats) before it runs that round, so
+/// the coordinator's hang watchdog can be exercised deterministically. The
+/// coordinator strips it from a respawned worker's environment.
 bool should_hang(std::size_t island, std::size_t round) {
   const char* spec = std::getenv("HADAS_DIST_HANG");
   if (spec == nullptr || *spec == '\0') return false;
@@ -40,7 +38,13 @@ bool should_hang(std::size_t island, std::size_t round) {
   }
 }
 
-}  // namespace
+/// What the island's durable state says about where to continue. Derived
+/// entirely from on-disk inspection, so a respawned worker (or the salvage
+/// path in the coordinator) needs no memory of the crashed process.
+struct IslandProgress {
+  bool final_written = false;  ///< valid island result file exists
+  std::size_t next_round = 0;  ///< first round not yet checkpointed past
+};
 
 IslandProgress inspect_island(const DistSpec& spec, const std::string& workdir,
                               std::size_t island) {
@@ -64,21 +68,16 @@ IslandProgress inspect_island(const DistSpec& spec, const std::string& workdir,
   return progress;
 }
 
-bool inbound_ready(const supernet::SearchSpace& space, const DistSpec& spec,
-                   const std::string& workdir, std::size_t island,
-                   std::size_t round, bool failpoints_on) {
-  if (round == 0 || spec.islands <= 1) return true;
-  return ensure_migrants_file(space, spec, workdir,
-                              inbound_neighbor(spec, island), round - 1,
-                              failpoints_on);
-}
-
-bool run_island_round(const DistSpec& spec, const std::string& workdir,
-                      std::size_t island, std::size_t round,
-                      bool failpoints_on, const std::atomic<bool>* cancel,
+/// Apply the inbound migrant set (rounds > 0), extend the engine to the
+/// round's end generation (resuming from the chain), then emit this round's
+/// migrants — or, after the last round, the island result file. Returns
+/// false when `cancel` interrupted the round (state checkpointed).
+bool run_island_round(const supernet::SearchSpace& space, const DistSpec& spec,
+                      const std::string& workdir, std::size_t island,
+                      std::size_t round, bool failpoints_on,
+                      const std::atomic<bool>* cancel,
                       const std::function<void(std::size_t)>& on_generation) {
   if (failpoints_on) hadas::util::failpoint("dist.worker.round.begin");
-  const supernet::SearchSpace space = spec_space(spec);
   core::HadasConfig config = island_config(spec, workdir, island);
   config.outer_generations = round_end_generation(spec, round);
   config.cancel = cancel;
@@ -86,16 +85,6 @@ bool run_island_round(const DistSpec& spec, const std::string& workdir,
 
   core::WarmStart warm;
   if (round > 0 && spec.islands > 1) {
-    // A crash between the boundary checkpoint and the migrant write lost
-    // our previous outbound file; regenerate it before evolving on (it is a
-    // pure function of the boundary checkpoint, so the bytes match what the
-    // crashed process would have written).
-    if (!ensure_migrants_file(space, spec, workdir, island, round - 1,
-                              failpoints_on))
-      throw std::runtime_error(
-          "dist: island " + std::to_string(island) + " lost both round " +
-          std::to_string(round - 1) +
-          " boundary checkpoint and its migrant file");
     if (failpoints_on) hadas::util::failpoint("dist.migrate.read");
     const MigrantSet inbound = load_migrants_file(
         migrants_path(workdir, inbound_neighbor(spec, island), round - 1));
@@ -116,94 +105,50 @@ bool run_island_round(const DistSpec& spec, const std::string& workdir,
   return true;
 }
 
-void touch_heartbeat(const std::string& path, std::uint64_t counter) {
-  hadas::util::failpoint("dist.heartbeat");
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out << counter << "\n";
-  }
-  std::rename(tmp.c_str(), path.c_str());
-}
-
-std::optional<std::uint64_t> read_heartbeat(const std::string& path) {
-  std::ifstream in(path);
-  std::uint64_t counter = 0;
-  if (!(in >> counter)) return std::nullopt;
-  return counter;
-}
-
-int run_worker(const DistSpec& spec, const std::string& workdir,
-               std::size_t island, const WorkerOptions& options) {
-  hadas::util::failpoint("dist.worker.start");
-  const supernet::SearchSpace space = spec_space(spec);
-  const std::string hb = heartbeat_path(workdir, island);
-  // Continue the previous incarnation's counter so the coordinator sees
-  // strictly advancing beats across restarts.
-  std::uint64_t beat = read_heartbeat(hb).value_or(0);
-  touch_heartbeat(hb, ++beat);
-  const auto poll =
-      std::chrono::milliseconds(std::max<std::size_t>(1, options.poll_ms));
-
-  while (true) {
-    if (cancelled(options.cancel)) return kWorkerExitInterrupted;
-    const IslandProgress progress = inspect_island(spec, workdir, island);
-    if (progress.final_written) return kWorkerExitDone;
-    if (progress.next_round >= round_count(spec)) {
-      // The last round is checkpointed but the crash ate the result file.
-      write_island_final(spec, workdir, island);
-      continue;
-    }
-
-    // Wait — heartbeating — until the inbound migrants of this round exist.
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(options.wait_timeout_ms);
-    while (!inbound_ready(space, spec, workdir, island, progress.next_round)) {
-      if (cancelled(options.cancel)) return kWorkerExitInterrupted;
-      if (std::chrono::steady_clock::now() > deadline)
-        return kWorkerExitWaitTimeout;
-      touch_heartbeat(hb, ++beat);
-      std::this_thread::sleep_for(poll);
-    }
-
-    if (should_hang(island, progress.next_round)) {
-      // Simulated hang: alive but silent. SIGKILL (the watchdog) ends it.
-      while (!cancelled(options.cancel))
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      return kWorkerExitInterrupted;
-    }
-
-    if (!run_island_round(
-            spec, workdir, island, progress.next_round, /*failpoints_on=*/true,
-            options.cancel, [&](std::size_t) { touch_heartbeat(hb, ++beat); }))
-      return kWorkerExitInterrupted;
-  }
-}
-
-namespace {
-
-net::Frame net_ack_frame(std::uint64_t read_seq) {
-  net::Frame frame;
-  frame.type = net::FrameType::kAck;
-  net::put_u64(frame.payload, read_seq);
-  return frame;
-}
-
-util::Json sent_rounds_to_json(const std::set<std::size_t>& rounds) {
-  util::Json::Array array;
-  for (std::size_t round : rounds)
-    array.emplace_back(std::to_string(round));
-  return util::Json(std::move(array));
-}
-
-std::set<std::size_t> sent_rounds_from_json(const util::Json& json) {
-  std::set<std::size_t> rounds;
-  for (const util::Json& entry : json.as_array())
-    rounds.insert(util::parse_size("session sent round", entry.as_string()));
-  return rounds;
-}
-
 }  // namespace
+
+IslandStep step_island(const supernet::SearchSpace& space, const DistSpec& spec,
+                       const std::string& workdir, std::size_t island,
+                       bool failpoints_on, const std::atomic<bool>* cancel,
+                       const std::function<void(std::size_t)>& on_generation) {
+  const IslandProgress progress = inspect_island(spec, workdir, island);
+  if (progress.final_written) return IslandStep::kFinished;
+  const std::size_t round = progress.next_round;
+  if (round >= round_count(spec)) {
+    // The last round is checkpointed but its result file is missing.
+    write_island_final(spec, workdir, island, failpoints_on);
+    return IslandStep::kAdvanced;
+  }
+  if (round > 0 && spec.islands > 1) {
+    // A crash between the boundary checkpoint and the migrant write lost
+    // our previous outbound file. Regenerate it (a pure function of the
+    // boundary checkpoint, so the bytes match what the crashed process
+    // would have written) before waiting on our own inbound set: in a
+    // worker, nobody else can, and the ring would deadlock.
+    if (!ensure_migrants_file(space, spec, workdir, island, round - 1,
+                              failpoints_on))
+      throw std::runtime_error(
+          "dist: island " + std::to_string(island) + " lost both round " +
+          std::to_string(round - 1) +
+          " boundary checkpoint and its migrant file");
+    // The inbound file; in a shared directory (inline mode, salvage) it is
+    // regenerated from the sender's chain when that holds the boundary.
+    if (!ensure_migrants_file(space, spec, workdir,
+                              inbound_neighbor(spec, island), round - 1,
+                              failpoints_on))
+      return IslandStep::kBlocked;
+  }
+  if (failpoints_on && should_hang(island, round)) {
+    // Simulated hang: alive but silent until SIGKILL (or cancel) ends it.
+    while (!cancelled(cancel))
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    return IslandStep::kCancelled;
+  }
+  if (!run_island_round(space, spec, workdir, island, round, failpoints_on,
+                        cancel, on_generation))
+    return IslandStep::kCancelled;
+  return IslandStep::kAdvanced;
+}
 
 NetWorker::NetWorker(net::SocketHandler* handler, NetWorkerConfig config)
     : config_(std::move(config)) {
@@ -253,10 +198,10 @@ void NetWorker::save() {
   state.write_unacked = writer_.unacked();
   state.read_seq = reader_.read_seq();
   util::Json::Object app;
-  app["sent"] = sent_rounds_to_json(sent_);
+  app["sent"] = rounds_to_json(sent_);
   app["final_sent"] = util::Json(final_sent_);
-  app["partial"] = util::Json(partial_);
-  app["partial_key"] = util::Json(partial_key_);
+  app["partial"] = util::Json(inbound_.partial);
+  app["partial_key"] = util::Json(inbound_.key);
   state.app = util::Json(std::move(app));
   net::save_session_state(state_path_, state, kDistSessionFormatTag);
 }
@@ -275,10 +220,10 @@ void NetWorker::restore() {
   writer_.restore(state->write_acked, state->write_unacked);
   reader_.restore(state->read_seq);
   fingerprint_ = state->fingerprint;
-  sent_ = sent_rounds_from_json(state->app.at("sent"));
+  sent_ = rounds_from_json(state->app.at("sent"));
   final_sent_ = state->app.at("final_sent").as_bool();
-  partial_ = state->app.at("partial").as_string();
-  partial_key_ = state->app.at("partial_key").as_string();
+  inbound_.partial = state->app.at("partial").as_string();
+  inbound_.key = state->app.at("partial_key").as_string();
 }
 
 void NetWorker::adopt_spec(const std::string& spec_json) {
@@ -289,7 +234,7 @@ void NetWorker::adopt_spec(const std::string& spec_json) {
         "NetWorker: island " + std::to_string(config_.island) +
         " out of range for the delivered spec (" +
         std::to_string(spec.islands) + " islands)");
-  // Persist the spec so a respawn (and run_island_round's engine) sees the
+  // Persist the spec so a respawn (and step_island) sees the
   // exact topology the coordinator runs; reject a state dir from another run.
   const std::string spec_file = spec_path(config_.state_dir);
   bool current = false;
@@ -403,34 +348,7 @@ bool NetWorker::advance() {
           std::to_string(chunk.island) + " but island " +
           std::to_string(config_.island) + "'s inbound neighbor is " +
           std::to_string(inbound_neighbor(*spec_, config_.island)));
-    const std::string key = dist_chunk_key(chunk);
-    if (!partial_key_.empty() && partial_key_ != key)
-      throw net::ProtocolError("NetWorker: interleaved chunk runs ('" +
-                               partial_key_ + "' interrupted by '" + key +
-                               "')");
-    if (!chunk.last) {
-      partial_key_ = key;
-      partial_ += chunk.bytes;
-    } else {
-      const std::string text = partial_ + chunk.bytes;
-      partial_.clear();
-      partial_key_.clear();
-      const std::string path =
-          migrants_path(config_.state_dir, chunk.island, chunk.round);
-      const bool wrote = util::durable::DurableFile::write_idempotent(
-          path, kMigrantsFormatTag, text);
-      try {
-        (void)load_migrants_file(path);
-      } catch (const util::durable::CheckpointCorruptError& error) {
-        std::error_code ec;
-        std::filesystem::remove(path, ec);
-        throw net::ProtocolError(
-            std::string("NetWorker: malformed pushed migrant payload: ") +
-            error.what());
-      }
-      dist_net_metrics().migrant_sets_received.inc();
-      if (!wrote) dist_net_metrics().migrant_sets_replayed.inc();
-    }
+    inbound_.accept(chunk, config_.state_dir);
     reader_.consume(peeked->encoded_size);
     mutated = true;
   }
@@ -438,11 +356,12 @@ bool NetWorker::advance() {
   // save-before-ack: journal the consumed bytes (and any durably written
   // migrant file) before the ack can reach the coordinator.
   save();
-  transport_.send_frame(net_ack_frame(reader_.read_seq()));
+  transport_.send_frame(ack_frame(reader_.read_seq()));
   return true;
 }
 
 void NetWorker::beat() {
+  hadas::util::failpoint("dist.heartbeat");
   const auto now = Clock::now();
   if (config_.beat_every_ms > 0 &&
       now - last_beat_ < std::chrono::milliseconds(config_.beat_every_ms))
@@ -451,7 +370,7 @@ void NetWorker::beat() {
   if (!handshaken_ || !transport_.attached()) return;
   // A duplicate ack is a no-op for the stream but proves this island alive
   // to the coordinator's watchdog while the engine grinds through a round.
-  transport_.send_frame(net_ack_frame(reader_.read_seq()));
+  transport_.send_frame(ack_frame(reader_.read_seq()));
   transport_.pump(writer_);
 }
 
@@ -459,31 +378,26 @@ bool NetWorker::work_step() {
   if (!spec_.has_value()) return false;
   const DistSpec& spec = *spec_;
   bool did = false;
-  const IslandProgress progress =
-      inspect_island(spec, config_.state_dir, config_.island);
-  if (progress.final_written) {
-    if (!final_sent_) {
-      const std::string text = util::durable::DurableFile::read(
-          final_path(config_.state_dir, config_.island),
-          kIslandResultFormatTag);
+  switch (step_island(*space_, spec, config_.state_dir, config_.island,
+                      /*failpoints_on=*/true, config_.cancel,
+                      [this](std::size_t) { beat(); })) {
+    case IslandStep::kFinished:
+      if (final_sent_) break;
       append_blob(writer_, net::FrameType::kDistFinal, config_.island, 0,
-                  text);
+                  util::durable::DurableFile::read(
+                      final_path(config_.state_dir, config_.island),
+                      kIslandResultFormatTag));
       final_sent_ = true;
       // Journal the queued upload before any pump can flush it.
       save();
       did = true;
-    }
-  } else if (progress.next_round >= round_count(spec)) {
-    write_island_final(spec, config_.state_dir, config_.island);
-    did = true;
-  } else if (inbound_ready(*space_, spec, config_.state_dir, config_.island,
-                           progress.next_round)) {
-    last_beat_ = Clock::now();
-    if (!run_island_round(spec, config_.state_dir, config_.island,
-                          progress.next_round, /*failpoints_on=*/true,
-                          config_.cancel, [this](std::size_t) { beat(); }))
-      return did;  // cancelled mid-round (state checkpointed)
-    did = true;
+      break;
+    case IslandStep::kAdvanced:
+      did = true;
+      break;
+    case IslandStep::kBlocked:
+    case IslandStep::kCancelled:  // state checkpointed
+      break;
   }
   if (spec.islands > 1) {
     bool queued = false;
@@ -595,6 +509,7 @@ bool NetWorker::step() {
 }
 
 int NetWorker::run() {
+  hadas::util::failpoint("dist.worker.start");
   auto last_progress = Clock::now();
   while (!done_) {
     if (cancelled()) return kWorkerExitInterrupted;

@@ -17,49 +17,28 @@
 
 namespace hadas::dist {
 
-/// What the island's durable state says about where to continue. Derived
-/// entirely from on-disk inspection, so a respawned worker (or the salvage
-/// path in the coordinator) needs no memory of the crashed process.
-struct IslandProgress {
-  bool final_written = false;  ///< valid island result file exists
-  std::size_t next_round = 0;  ///< first round not yet checkpointed past
+/// Outcome of one step_island call.
+enum class IslandStep {
+  kFinished,   ///< the island result was already durable: nothing to do
+  kAdvanced,   ///< ran one round, or wrote the island result
+  kBlocked,    ///< the next round's inbound migrants are not readable yet
+  kCancelled,  ///< `cancel` interrupted the round (state checkpointed)
 };
 
-IslandProgress inspect_island(const DistSpec& spec, const std::string& workdir,
-                              std::size_t island);
-
-/// True when the inbound migrant file island `island` needs before `round`
-/// is readable. Attempts a cross-process repair first: a missing/corrupt
-/// file is regenerated from the *sender's* checkpoint chain when it already
-/// holds the boundary (migrant sets are pure functions of checkpoints).
-bool inbound_ready(const supernet::SearchSpace& space, const DistSpec& spec,
-                   const std::string& workdir, std::size_t island,
-                   std::size_t round, bool failpoints_on = true);
-
-/// Run one island round: regenerate the previous round's outbound migrants
-/// if a crash lost them, apply the inbound migrant set (rounds > 0), extend
-/// the engine to the round's end generation (resuming from the chain), then
-/// emit this round's migrants — or, after the last round, the island result
-/// file. `failpoints_on` gates the dist.* failpoints so the coordinator's
-/// salvage path cannot be killed by a worker-targeted chaos schedule.
-/// Returns false when `cancel` interrupted the round (state checkpointed).
-bool run_island_round(const DistSpec& spec, const std::string& workdir,
-                      std::size_t island, std::size_t round,
-                      bool failpoints_on,
-                      const std::atomic<bool>* cancel = nullptr,
-                      const std::function<void(std::size_t)>& on_generation = {});
-
-/// Worker main loop (the `hadas worker` subcommand): refresh the heartbeat
-/// file, inspect progress, wait for inbound migrants, run rounds until the
-/// island result is durably written. Returns a kWorkerExit* code.
-struct WorkerOptions {
-  std::size_t poll_ms = 25;             ///< inbound-migrant poll interval
-  std::size_t wait_timeout_ms = 120000; ///< give up waiting (exit 3)
-  const std::atomic<bool>* cancel = nullptr;  ///< SIGINT/SIGTERM flag
-};
-
-int run_worker(const DistSpec& spec, const std::string& workdir,
-               std::size_t island, const WorkerOptions& options = {});
+/// One step of island `island` in `workdir`: write the island result once
+/// the last round is checkpointed; otherwise regenerate the previous
+/// round's outbound migrants if a crash lost them, and run the next round
+/// (inbound migrants applied, engine resumed from the chain, this round's
+/// migrants emitted) once its inbound set is readable. Every process that
+/// evolves islands — inline mode, the coordinator's salvage of quarantined
+/// islands, and each worker — advances them through this alone.
+/// `failpoints_on` gates the dist.* failpoints and the HADAS_DIST_HANG hook,
+/// so salvage cannot be killed by a worker-targeted chaos schedule.
+IslandStep step_island(
+    const supernet::SearchSpace& space, const DistSpec& spec,
+    const std::string& workdir, std::size_t island, bool failpoints_on,
+    const std::atomic<bool>* cancel,
+    const std::function<void(std::size_t)>& on_generation = {});
 
 /// `hadas worker --connect host:port --island I --state-dir DIR`.
 struct NetWorkerConfig {
@@ -75,18 +54,23 @@ struct NetWorkerConfig {
   const std::atomic<bool>* cancel = nullptr;
 };
 
-/// The remote end of one island: dials the coordinator, learns the DistSpec
-/// from the WELCOME, and runs its island's rounds against a *local* state
+/// The worker end of one island: dials the coordinator, learns the DistSpec
+/// from the WELCOME, and runs its island's rounds against its own state
 /// directory — checkpoints, outbound migrants and the island result are
-/// produced exactly as a shared-workdir worker would produce them, then
-/// uploaded through the resumable stream (the coordinator persists them
-/// verbatim, so the merged front is byte-identical). Inbound migrants
-/// arrive as pushed kDistMigrants blobs and are written into the state
-/// directory, where run_island_round finds them. The session journal in the
-/// state directory makes every step resumable: a killed worker reconnects
-/// with its durable read_seq, the stream replays, and no artifact is lost
-/// or duplicated. A worker that already holds the spec keeps computing
-/// rounds while partitioned — only migrant exchange stalls.
+/// produced exactly as an inline run produces them, then uploaded through
+/// the resumable stream (the coordinator persists them verbatim, so the
+/// merged front is byte-identical). Inbound migrants arrive as pushed
+/// kDistMigrants blobs and are written into the state directory, where
+/// step_island finds them. The session journal in the state directory
+/// makes every step resumable: a killed worker reconnects with its durable
+/// read_seq, the stream replays, and no artifact is lost or duplicated. A
+/// worker that already holds the spec keeps computing rounds while
+/// partitioned — only migrant exchange stalls.
+///
+/// Chaos hooks: the dist.worker.start failpoint fires on entry to run() and
+/// dist.heartbeat on every beat() call (before its rate limit);
+/// HADAS_DIST_HANG="<island>:<round>" (see step_island) freezes the worker,
+/// silent, before that round until it is killed or cancelled.
 class NetWorker {
  public:
   /// `handler` selects the socket fabric (nullptr = real TCP sockets).
@@ -134,8 +118,7 @@ class NetWorker {
   std::optional<supernet::SearchSpace> space_;
   std::set<std::size_t> sent_;  ///< outbound migrant rounds already queued
   bool final_sent_ = false;
-  std::string partial_;  ///< inbound chunk-run accumulator
-  std::string partial_key_;
+  ChunkRun inbound_;
   bool handshaken_ = false;
   bool connected_once_ = false;
   bool done_ = false;
@@ -149,13 +132,5 @@ class NetWorker {
 /// when given) and run() it. net::ConnectError / net::ProtocolError
 /// propagate to the caller (the CLI prints them and exits nonzero).
 int run_net_worker(net::SocketHandler* handler, const NetWorkerConfig& config);
-
-/// Atomically (tmp + rename) publish a monotonic heartbeat counter; the
-/// coordinator declares the worker hung when the counter stops advancing.
-void touch_heartbeat(const std::string& path, std::uint64_t counter);
-
-/// The counter currently published at `path`, or nullopt when absent or
-/// unreadable.
-std::optional<std::uint64_t> read_heartbeat(const std::string& path);
 
 }  // namespace hadas::dist

@@ -72,7 +72,7 @@ const std::vector<std::string>& chaos_sites() {
       "dist.migrate.write",      // file site: migrant envelope in place
       "dist.migrate.read",       // before consuming an inbound migrant file
       "dist.worker.final",       // file site: island result in place
-      "dist.heartbeat",          // worker heartbeat refresh
+      "dist.heartbeat",          // worker heartbeat tick (NetWorker::beat)
       "dist.merge",              // coordinator: before merging island fronts
       "dist.salvage",            // coordinator: island quarantined, going inline
   };

@@ -127,6 +127,16 @@ int TcpSocketHandler::listen(const util::HostPort& addr) {
   return fd;
 }
 
+std::uint16_t TcpSocketHandler::bound_port(int listener) const {
+  struct sockaddr_in addr = {};
+  socklen_t len = sizeof(addr);
+  if (::getsockname(listener, reinterpret_cast<struct sockaddr*>(&addr),
+                    &len) != 0)
+    throw ConnectError(std::string("TcpSocketHandler: getsockname failed: ") +
+                       std::strerror(errno));
+  return ntohs(addr.sin_port);
+}
+
 std::unique_ptr<Socket> TcpSocketHandler::accept(int listener) {
   const int fd = ::accept(listener, nullptr, nullptr);
   if (fd < 0) return nullptr;

@@ -79,6 +79,10 @@ class TcpSocketHandler : public SocketHandler {
   void close_listener(int listener) override;
   std::unique_ptr<Socket> connect(const util::HostPort& addr) override;
   void wait(int timeout_ms) override;
+
+  /// The local port `listener` is bound to: the kernel's pick when it was
+  /// opened on port 0.
+  std::uint16_t bound_port(int listener) const;
 };
 
 }  // namespace hadas::net

@@ -1,6 +1,7 @@
 // Distributed-search chaos driver: byte-identity of the island model under
-// worker crashes, coordinator crashes, crash loops (circuit breaker +
-// inline salvage) and hangs (heartbeat watchdog).
+// worker crashes, coordinator crashes, crash loops (quarantine + inline
+// salvage) and hangs (heartbeat watchdog), and no worker outliving a
+// SIGKILLed coordinator.
 //
 // For each island count K in {1, 2, 4} an uninterrupted *inline* run (all
 // islands evolved sequentially in the coordinator process) produces the
@@ -13,15 +14,19 @@
 //
 // Exit code 0 = every scenario converged bit-identically.
 
+#include <signal.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exec/chaos.hpp"
@@ -54,6 +59,21 @@ int run_cli(const std::string& args, const std::string& env,
   return -1;
 }
 
+/// Start the CLI in the background, like run_cli; returns the pid of the
+/// CLI process itself.
+pid_t start_cli(const std::string& args, const std::string& env,
+                const std::string& log) {
+  std::string cmd = "exec ";
+  if (!env.empty()) cmd += "env " + env + " ";
+  cmd += "'" + g_cli + "' " + args + " >" + log + " 2>&1";
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::execl("/bin/sh", "sh", "-c", cmd.c_str(), static_cast<char*>(nullptr));
+    ::_exit(127);
+  }
+  return pid;
+}
+
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return std::string((std::istreambuf_iterator<char>(in)),
@@ -63,6 +83,32 @@ std::string slurp(const std::string& path) {
 bool file_exists(const std::string& path) {
   struct stat st{};
   return ::stat(path.c_str(), &st) == 0;
+}
+
+/// Live `hadas worker` processes with an argument under `workdir` (their
+/// state directory), found by scanning /proc/<pid>/cmdline.
+std::vector<pid_t> workers_under(const std::string& workdir) {
+  std::vector<pid_t> pids;
+  std::error_code ec;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc", ec)) {
+    const std::string name = entry.path().filename().string();
+    if (name.find_first_not_of("0123456789") != std::string::npos) continue;
+    const std::string cmdline = slurp(entry.path().string() + "/cmdline");
+    bool worker = false;
+    bool under = false;
+    for (std::size_t at = 0; at < cmdline.size();) {
+      const std::size_t end = cmdline.find('\0', at);
+      const std::string arg = cmdline.substr(
+          at, end == std::string::npos ? std::string::npos : end - at);
+      worker = worker || arg == "worker";
+      under = under || arg.rfind(workdir + "/", 0) == 0;
+      if (end == std::string::npos) break;
+      at = end + 1;
+    }
+    if (worker && under) pids.push_back(std::stoi(name));
+  }
+  return pids;
 }
 
 /// One distributed search invocation. The budget keeps a full run under a
@@ -253,6 +299,41 @@ int main(int argc, char** argv) {
           "hung worker is killed and the run still matches the reference");
     check(text.find("heartbeat") != std::string::npos,
           "heartbeat stall was reported");
+  }
+
+  // Coordinator SIGKILLed mid-run: its workers must die with it (none may
+  // keep writing the workdir a rerun resumes), and a clean rerun converges.
+  // Island 1 hangs before its last round, so the run is certainly live
+  // when the coordinator dies.
+  {
+    std::cout << "coordinator SIGKILLed mid-run...\n";
+    const std::string workdir = fresh_workdir("orphan");
+    const std::string out = g_dir + "/orphan_out.json";
+    const std::string log = g_dir + "/orphan.log";
+    std::remove(out.c_str());
+    const std::string args = dist_args(2, workdir, out, "spawn");
+    const pid_t pid = start_cli(args, "HADAS_DIST_HANG=1:1", log);
+    bool live = false;
+    for (int i = 0; i < 1200 && !live; ++i) {
+      live = file_exists(workdir + "/migrants_i1_r0.json");
+      if (!live) std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    ::kill(pid, SIGKILL);
+    int status = 0;
+    ::waitpid(pid, &status, 0);
+    check(live && WIFSIGNALED(status),
+          "the coordinator was SIGKILLed mid-run");
+    std::vector<pid_t> left = workers_under(workdir);
+    for (int i = 0; i < 40 && !left.empty(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      left = workers_under(workdir);
+    }
+    check(left.empty(), "no worker outlives the coordinator by 2 s (" +
+                            std::to_string(left.size()) + " left)");
+    for (const pid_t orphan : left) ::kill(orphan, SIGKILL);
+    const int code = run_cli(args, "", log);
+    check(code == 0 && slurp(out) == reference[2],
+          "a clean rerun after the coordinator SIGKILL matches the reference");
   }
 
   if (g_failures == 0) {

@@ -183,17 +183,6 @@ TEST(DistIsland, MigrantFileRoundTripAndValidation) {
                util::durable::CheckpointCorruptError);
 }
 
-TEST(DistIsland, HeartbeatRoundTrip) {
-  const std::string dir = fresh_dir("hb");
-  const std::string path = dist::heartbeat_path(dir, 0);
-  EXPECT_FALSE(dist::read_heartbeat(path).has_value());
-  dist::touch_heartbeat(path, 41);
-  ASSERT_TRUE(dist::read_heartbeat(path).has_value());
-  EXPECT_EQ(*dist::read_heartbeat(path), 41u);
-  dist::touch_heartbeat(path, 42);
-  EXPECT_EQ(*dist::read_heartbeat(path), 42u);
-}
-
 TEST(DistInline, SingleIslandMatchesPlainEngine) {
   const dist::DistSpec spec = [] {
     dist::DistSpec s = tiny_spec();

@@ -87,9 +87,7 @@ const std::map<std::string, std::set<std::string>>& command_flags() {
         "threads", "metrics-out", "trace-out", "dist", "dist-workdir",
         "dist-mode", "migrate-every", "migrants", "heartbeat-ms",
         "island-retries", "listen", "fleet", "fleet-seed"}},
-      {"worker",
-       {"spec", "island", "poll-ms", "wait-timeout-ms", "connect",
-        "state-dir"}},
+      {"worker", {"island", "wait-timeout-ms", "connect", "state-dir"}},
       {"show", {}},
       {"verify-checkpoint", {}},
       {"metrics-dump", {"format"}},
@@ -284,10 +282,11 @@ int cmd_baselines(const Args& args) {
 }
 
 /// `hadas search --dist K`: island-model distributed search. The outer
-/// population is partitioned into K islands evolved by `hadas worker`
-/// subprocesses, with ring migration every --migrate-every generations; the
-/// coordinator supervises (heartbeats, restarts, per-island circuit
-/// breaker) and merges the island fronts.
+/// population is partitioned into K islands evolved by `hadas worker
+/// --connect` processes (forked locally, or dialing in to --listen), with
+/// ring migration every --migrate-every generations; the coordinator
+/// supervises (heartbeats, restarts, quarantine) and merges the island
+/// fronts.
 int run_dist_search(const Args& args, std::size_t islands) {
   if (args.get("checkpoint") || args.get("checkpoint-every"))
     throw std::invalid_argument(
@@ -377,7 +376,7 @@ int run_dist_search(const Args& args, std::size_t islands) {
   options.heartbeat_ms = args.get_or("heartbeat-ms", options.heartbeat_ms);
   options.island_failure_threshold =
       args.get_or("island-retries", options.island_failure_threshold);
-  // Workers give up waiting for missing inbound migrants a bit after the
+  // Spawned workers give up on a run without progress a bit after the
   // coordinator would declare them hung, never before.
   options.worker_wait_timeout_ms =
       std::max(options.worker_wait_timeout_ms, 4 * options.heartbeat_ms);
@@ -416,69 +415,34 @@ int run_dist_search(const Args& args, std::size_t islands) {
   return 0;
 }
 
-/// `hadas worker`: one island of a distributed search — spawned by the
-/// coordinator against a shared workdir (--spec), or dialed into a
-/// `hadas search --listen` coordinator from another machine (--connect).
+/// `hadas worker`: one island of a distributed search, dialing its
+/// coordinator — which forked it (spawn mode) or listens for it on another
+/// machine (--listen).
 int cmd_worker(const Args& args) {
-  if (const auto connect = args.get("connect")) {
-    if (args.get("spec"))
-      throw std::invalid_argument(
-          "--spec cannot be combined with --connect: a net worker receives "
-          "the spec in the coordinator's welcome");
-    if (args.get("poll-ms"))
-      throw std::invalid_argument(
-          "--poll-ms cannot be combined with --connect: a net worker is "
-          "driven by the coordinator's stream, not a workdir poll");
-    const auto island_arg = args.get("island");
-    if (!island_arg)
-      throw std::invalid_argument(
-          "usage: hadas worker --connect HOST:PORT --island I "
-          "[--state-dir DIR]");
-    dist::NetWorkerConfig config;
-    config.connect = args.get_hostport("connect");
-    config.island = util::parse_size("--island", *island_arg);
-    config.state_dir = args.get_or(
-        "state-dir", "hadas_worker_island" + std::to_string(config.island));
-    config.wait_timeout_ms =
-        args.get_or("wait-timeout-ms", config.wait_timeout_ms);
-    config.cancel = &g_cancel;
-    install_cancel_handlers();
-    std::cout << "net worker: island " << config.island << " -> "
-              << config.connect.host << ":" << config.connect.port
-              << ", state in " << config.state_dir << std::endl;
-    dist::NetWorker worker(nullptr, config);
-    const int code = worker.run();
-    if (code == dist::kWorkerExitDone)
-      std::cout << "island " << config.island << " complete ("
-                << worker.reconnects() << " reconnect(s))\n";
-    return code;
-  }
-  if (args.get("state-dir"))
-    throw std::invalid_argument(
-        "--state-dir requires --connect (a workdir worker's state lives in "
-        "the shared --spec directory)");
-  const auto spec_file = args.get("spec");
+  const auto connect = args.get("connect");
   const auto island_arg = args.get("island");
-  if (!spec_file || !island_arg)
+  if (!connect || !island_arg)
     throw std::invalid_argument(
-        "usage: hadas worker --spec <workdir>/dist_spec.json --island I");
-  const dist::DistSpec spec = dist::load_spec(*spec_file);
-  const std::size_t island = util::parse_size("--island", *island_arg);
-  if (island >= spec.islands)
-    throw std::invalid_argument("--island " + std::to_string(island) +
-                                " out of range (spec has " +
-                                std::to_string(spec.islands) + " islands)");
-  const std::size_t slash = spec_file->find_last_of('/');
-  const std::string workdir =
-      slash == std::string::npos ? "." : spec_file->substr(0, slash);
-
-  dist::WorkerOptions options;
-  options.poll_ms = args.get_or("poll-ms", options.poll_ms);
-  options.wait_timeout_ms =
-      args.get_or("wait-timeout-ms", options.wait_timeout_ms);
-  options.cancel = &g_cancel;
+        "usage: hadas worker --connect HOST:PORT --island I "
+        "[--state-dir DIR]");
+  dist::NetWorkerConfig config;
+  config.connect = args.get_hostport("connect");
+  config.island = util::parse_size("--island", *island_arg);
+  config.state_dir = args.get_or(
+      "state-dir", "hadas_worker_island" + std::to_string(config.island));
+  config.wait_timeout_ms =
+      args.get_or("wait-timeout-ms", config.wait_timeout_ms);
+  config.cancel = &g_cancel;
   install_cancel_handlers();
-  return dist::run_worker(spec, workdir, island, options);
+  std::cout << "net worker: island " << config.island << " -> "
+            << config.connect.host << ":" << config.connect.port
+            << ", state in " << config.state_dir << std::endl;
+  dist::NetWorker worker(nullptr, config);
+  const int code = worker.run();
+  if (code == dist::kWorkerExitDone)
+    std::cout << "island " << config.island << " complete ("
+              << worker.reconnects() << " reconnect(s))\n";
+  return code;
 }
 
 int cmd_search(const Args& args) {
@@ -1196,15 +1160,15 @@ void print_usage() {
                "                               mode, or remote workers\n"
                "         [--listen HOST:PORT]  accept remote workers (net mode)\n"
                "         [--migrate-every N] [--migrants M]\n"
-               "         [--heartbeat-ms T]    worker hang deadline\n"
+               "         [--heartbeat-ms T]    worker silence deadline\n"
                "         [--island-retries N]  failures before quarantine\n"
                "         [--fleet N [--fleet-seed S]] scope islands to fleet\n"
                "                               device groups (round-robin)\n"
-               "  worker --spec F --island I   one island of a --dist search\n"
-               "                               (spawned by the coordinator)\n"
                "  worker --connect HOST:PORT --island I [--state-dir DIR]\n"
-               "                               dial a --listen coordinator from\n"
-               "                               another machine\n"
+               "                               one island of a --dist search:\n"
+               "                               forked by the coordinator, or\n"
+               "                               dialing a --listen coordinator\n"
+               "                               from another machine\n"
                "  show F                       print a saved result\n"
                "  verify-checkpoint F          inspect a durable state file:\n"
                "                               search checkpoint, dist spec,\n"
