@@ -165,14 +165,15 @@ bool ChunkRun::accept(const DistChunk& chunk, const std::string& dir) {
   partial.clear();
   key.clear();
 
-  const bool final = chunk.type == net::FrameType::kDistFinal;
-  const std::string path = final ? final_path(dir, chunk.island)
-                                 : migrants_path(dir, chunk.island, chunk.round);
+  const bool result = chunk.type == net::FrameType::kDistFinal;
+  const std::string path = result
+                               ? final_path(dir, chunk.island)
+                               : migrants_path(dir, chunk.island, chunk.round);
   const bool wrote = util::durable::DurableFile::write_idempotent(
-      path, final ? kIslandResultFormatTag : kMigrantsFormatTag, text);
+      path, result ? kIslandResultFormatTag : kMigrantsFormatTag, text);
   std::string problem;
   try {
-    if (final) {
+    if (result) {
       (void)load_island_result(path);
     } else if (const MigrantSet set = load_migrants_file(path);
                set.island != chunk.island || set.round != chunk.round) {
@@ -189,7 +190,7 @@ bool ChunkRun::accept(const DistChunk& chunk, const std::string& dir) {
                              "': " + problem);
   }
   DistNetMetrics& metrics = dist_net_metrics();
-  if (final) {
+  if (result) {
     metrics.finals_received.inc();
   } else {
     metrics.migrant_sets_received.inc();
