@@ -102,8 +102,31 @@ std::vector<double> crowding_distance(const std::vector<Objectives>& points,
 }
 
 std::vector<std::size_t> pareto_front(const std::vector<Objectives>& points) {
-  if (points.empty()) return {};
-  return non_dominated_sort(points).front();
+  // A point enters the archive unless an archived point dominates it, and
+  // evicts those it dominates. A point nobody dominates always stays, so the
+  // archive holds the whole front, in ascending order.
+  std::vector<std::size_t> archive;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const Objectives& p = points[i];
+    bool dominated = false;
+    std::size_t kept = 0;
+    for (const std::size_t a : archive) {
+      const int d = dominated ? 0 : dominance(points[a].data(), p.data(), p.size());
+      if (d < 0) continue;
+      dominated |= d > 0;
+      archive[kept++] = a;
+    }
+    archive.resize(kept);
+    if (!dominated) archive.push_back(i);
+  }
+  // Without NaNs dominance is transitive and this is the front; with them,
+  // keep only the survivors that no point dominates.
+  std::erase_if(archive, [&](std::size_t a) {
+    for (const Objectives& q : points)
+      if (dominance(q.data(), points[a].data(), q.size()) > 0) return true;
+    return false;
+  });
+  return archive;
 }
 
 namespace {

@@ -25,7 +25,9 @@ std::vector<std::vector<std::size_t>> non_dominated_sort(
 std::vector<double> crowding_distance(const std::vector<Objectives>& points,
                                       const std::vector<std::size_t>& front);
 
-/// Indices of the non-dominated subset of `points` (front 0).
+/// Indices of the non-dominated subset of `points`: exactly front 0 of
+/// non_dominated_sort, duplicates included, in ascending order. Takes
+/// O(n * |front|) time and O(n) memory.
 std::vector<std::size_t> pareto_front(const std::vector<Objectives>& points);
 
 /// Exact hypervolume of the region dominated by `points` and bounded below

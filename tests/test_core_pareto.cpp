@@ -131,6 +131,75 @@ TEST(ParetoFront, ExtractsNonDominated) {
   EXPECT_EQ(front.size(), 3u);  // all but (1,1)
 }
 
+TEST(ParetoFront, MatchesTheFullSortsFirstFront) {
+  EXPECT_TRUE(pareto_front({}).empty());
+  hadas::util::Rng rng(11);
+  for (std::size_t dims = 1; dims <= 4; ++dims) {
+    for (const std::size_t n : {1, 2, 17, 300, 2000}) {
+      // Values on a coarse grid make ties common; every tenth point is a
+      // copy of an earlier one.
+      std::vector<Objectives> points(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (i > 0 && i % 10 == 0) {
+          points[i] = points[rng.uniform_index(i)];
+          continue;
+        }
+        points[i].resize(dims);
+        for (double& v : points[i])
+          v = static_cast<double>(rng.uniform_int(0, 6));
+      }
+      EXPECT_EQ(pareto_front(points), non_dominated_sort(points).front())
+          << dims << " dims, " << n << " points";
+    }
+  }
+}
+
+TEST(ParetoFront, MatchesTheFullSortWithNaNObjectives) {
+  hadas::util::Rng rng(12);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<Objectives> points(60);
+    for (auto& p : points) {
+      p = {rng.uniform(), rng.uniform(), rng.uniform()};
+      if (rng.bernoulli(0.2)) p[rng.uniform_index(3)] = std::nan("");
+    }
+    const auto fronts = non_dominated_sort(points);
+    const std::vector<std::size_t> expected =
+        fronts.empty() ? std::vector<std::size_t>{} : fronts.front();
+    EXPECT_EQ(pareto_front(points), expected) << "trial " << trial;
+  }
+}
+
+TEST(ParetoFront, FindsAKnownFrontAmong150kPoints) {
+  // The front is the grid on the simplex x + y + z = 1 in steps of 1/16
+  // (exact in binary, so no two of them compare unevenly), each point
+  // present twice. Every other point is a front point moved down in all
+  // three axes, so it is strictly dominated. The full sort's n x n matrix
+  // would need 22 GB here.
+  std::vector<Objectives> simplex;
+  for (int i = 0; i <= 16; ++i)
+    for (int j = 0; i + j <= 16; ++j)
+      simplex.push_back({i / 16.0, j / 16.0, (16 - i - j) / 16.0});
+  const std::size_t n = 150000;
+  hadas::util::Rng rng(13);
+  std::vector<Objectives> points(n);
+  std::vector<std::size_t> expected;
+  std::vector<std::size_t> slots(n);
+  for (std::size_t i = 0; i < n; ++i) slots[i] = i;
+  std::shuffle(slots.begin(), slots.end(), rng);
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t slot = slots[k];
+    if (k < 2 * simplex.size()) {
+      points[slot] = simplex[k / 2];
+      expected.push_back(slot);
+    } else {
+      points[slot] = simplex[rng.uniform_index(simplex.size())];
+      for (double& v : points[slot]) v -= rng.uniform_int(1, 64) / 1024.0;
+    }
+  }
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(pareto_front(points), expected);
+}
+
 TEST(Hypervolume, KnownValues2D) {
   const Objectives ref = {0.0, 0.0};
   EXPECT_NEAR(hypervolume({{2.0, 3.0}}, ref), 6.0, 1e-12);
