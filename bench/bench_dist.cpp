@@ -90,7 +90,7 @@ int main() {
       s.islands = 2;
       return s;
     }();
-    const auto space = dist::spec_space(spec);
+    const auto space = spec.search_space();
     const util::durable::CheckpointChain chain(
         dist::chain_path(workdir_k2, 0), spec.checkpoint_keep);
     const auto loaded = core::load_checkpoint_chain(chain);

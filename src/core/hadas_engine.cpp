@@ -112,6 +112,23 @@ std::vector<FinalSolution> final_pareto_of(
   return front;
 }
 
+HadasConfig SearchProblem::config() const {
+  HadasConfig config;
+  config.outer_population = outer_population;
+  config.outer_generations = outer_generations;
+  config.ioe_backbones_per_generation = ioe_backbones_per_generation;
+  config.ioe.nsga.population = ioe_population;
+  config.ioe.nsga.generations = ioe_generations;
+  config.seed = seed;
+  config.data.train_size = train_size;
+  config.bank.train.epochs = epochs;
+  config.max_latency_s = max_latency_s;
+  if (!faults.empty()) config.robust.faults = hw::parse_fault_config(faults);
+  config.checkpoint_keep = checkpoint_keep;
+  config.exec.threads = threads;
+  return config;
+}
+
 HadasEngine::HadasEngine(const supernet::SearchSpace& space, hw::Target target,
                          HadasConfig config)
     : space_(space),
@@ -592,6 +609,8 @@ void export_search_metrics(const HadasEngine& engine,
   cache("static", engine.static_cache_stats());
   cache("cost", engine.cost_cache_stats());
 
+  // Device health is only measured when the robust layer is on.
+  if (!engine.static_evaluator().robust().active()) return;
   const hw::HealthReport& health = result.device_health;
   registry.gauge("hw.health.breaker_state")
       .set(static_cast<double>(static_cast<int>(health.state)));

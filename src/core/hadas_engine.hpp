@@ -87,6 +87,33 @@ struct HadasConfig {
   std::function<void(std::size_t)> on_generation;
 };
 
+/// One search problem in the CLI's vocabulary. `hadas search` and every
+/// `--dist` island build their HadasConfig from it, so these initializers
+/// are the CLI's search defaults.
+struct SearchProblem {
+  std::string device = "tx2-gpu";   ///< hw::target_key vocabulary
+  std::string space = "attentive";  ///< SearchSpace::named vocabulary
+  std::size_t outer_population = 16;
+  std::size_t outer_generations = 6;
+  std::size_t ioe_backbones_per_generation = 2;
+  std::size_t ioe_population = 30;
+  std::size_t ioe_generations = 20;
+  std::uint64_t seed = 2023;
+  std::size_t train_size = 1500;
+  std::size_t epochs = 8;
+  double max_latency_s = 0.0;
+  std::string faults;  ///< hw::parse_fault_config spec, empty = none
+  std::size_t checkpoint_keep = 3;
+  std::size_t threads = 0;  ///< exec threads (0 = auto)
+
+  hw::Target target() const { return hw::target_from_key(device); }
+  supernet::SearchSpace search_space() const {
+    return supernet::SearchSpace::named(space);
+  }
+  /// Checkpoint path and cadence, cancellation and salt stay the caller's.
+  HadasConfig config() const;
+};
+
 /// A fully specified dynamic design: the paper's (b*, x*, f*) triple with
 /// its static and dynamic evaluations.
 struct FinalSolution {
@@ -206,8 +233,8 @@ std::vector<IntGenome> ioe_seed_pool(const std::vector<BackboneOutcome>& backbon
 class HadasEngine;
 
 /// Export an engine's post-run statistics into the global metrics registry
-/// as gauges: S(b) / cost-model memo counters ("exec.cache.*") and the
-/// robust-measurement health report ("hw.health.*"). Called by the CLI
+/// as gauges: S(b) / cost-model memo counters ("exec.cache.*") and, when the
+/// robust layer is on, its health report ("hw.health.*"). Called by the CLI
 /// before writing a --metrics-out snapshot; pure observation, no effect on
 /// engine state or results.
 void export_search_metrics(const HadasEngine& engine,

@@ -54,7 +54,7 @@ bool DistCoordinator::cancelled() const {
 }
 
 bool DistCoordinator::run_islands_inline() {
-  const supernet::SearchSpace space = spec_space(spec_);
+  const supernet::SearchSpace space = spec_.search_space();
   // Round-major sweep: every pass steps each unfinished island once. The
   // least-advanced island is always runnable (its ring sender has
   // necessarily passed the boundary it needs — or is behind it in this very

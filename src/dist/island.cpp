@@ -86,8 +86,8 @@ void validate_spec(const DistSpec& spec) {
     throw std::invalid_argument("dist: need >= 1 migrant with > 1 island");
   // The fault spec must parse now, not inside K workers later.
   if (!spec.faults.empty()) hw::parse_fault_config(spec.faults);
-  spec_target(spec);
-  spec_space(spec);
+  spec.target();
+  spec.search_space();
   if (!spec.island_devices.empty()) {
     if (spec.island_devices.size() != spec.islands)
       throw std::invalid_argument(
@@ -225,55 +225,24 @@ std::size_t island_population(const DistSpec& spec, std::size_t island) {
 core::HadasConfig island_config(const DistSpec& spec,
                                 const std::string& workdir,
                                 std::size_t island) {
-  core::HadasConfig config;
+  core::HadasConfig config = spec.config();
   config.outer_population = island_population(spec, island);
-  config.outer_generations = spec.outer_generations;
-  config.ioe_backbones_per_generation = spec.ioe_backbones_per_generation;
-  config.ioe.nsga.population = spec.ioe_population;
-  config.ioe.nsga.generations = spec.ioe_generations;
   config.seed = island_seed(spec.seed, island, spec.islands);
-  config.data.train_size = spec.train_size;
-  config.bank.train.epochs = spec.epochs;
-  config.max_latency_s = spec.max_latency_s;
-  if (!spec.faults.empty())
-    config.robust.faults = hw::parse_fault_config(spec.faults);
   config.checkpoint_path = chain_path(workdir, island);
   // Checkpoints land exactly on round boundaries, so a mid-round crash
   // replays the whole round — deterministically, since the inbound migrant
   // files it re-reads are durable.
   config.checkpoint_every = spec.migration_every;
-  config.checkpoint_keep = spec.checkpoint_keep;
-  config.exec.threads = spec.threads;
   config.fingerprint_salt = "island:" + std::to_string(island) + "/" +
                             std::to_string(spec.islands);
   return config;
 }
 
-namespace {
-hw::Target target_from_device_key(const std::string& device) {
-  if (device == "agx-gpu") return hw::Target::kAgxVoltaGpu;
-  if (device == "agx-cpu") return hw::Target::kCarmelCpu;
-  if (device == "tx2-gpu") return hw::Target::kTx2PascalGpu;
-  if (device == "tx2-cpu") return hw::Target::kDenverCpu;
-  throw std::invalid_argument("dist: unknown device '" + device + "'");
-}
-}  // namespace
-
-hw::Target spec_target(const DistSpec& spec) {
-  return target_from_device_key(spec.device);
-}
-
 hw::Target island_target(const DistSpec& spec, std::size_t island) {
-  if (spec.island_devices.empty()) return spec_target(spec);
+  if (spec.island_devices.empty()) return spec.target();
   if (island >= spec.island_devices.size())
     throw std::invalid_argument("dist: island index out of range");
-  return target_from_device_key(spec.island_devices[island]);
-}
-
-supernet::SearchSpace spec_space(const DistSpec& spec) {
-  if (spec.space == "attentive") return supernet::SearchSpace::attentive_nas();
-  if (spec.space == "ofa") return supernet::SearchSpace::once_for_all();
-  throw std::invalid_argument("dist: unknown space '" + spec.space + "'");
+  return hw::target_from_key(spec.island_devices[island]);
 }
 
 std::vector<supernet::Genome> select_migrants(
@@ -430,7 +399,7 @@ Json merge_islands(const DistSpec& spec, const std::string& workdir) {
 
   Json json;
   if (spec.island_devices.empty()) {
-    json["device"] = Json(hw::target_name(spec_target(spec)));
+    json["device"] = Json(hw::target_name(spec.target()));
   } else {
     // Fleet-scoped islands: name every distinct device group, island order.
     std::string devices;

@@ -23,26 +23,12 @@ inline constexpr int kWorkerExitInterrupted = 75; ///< SIGTERM, checkpointed
 inline constexpr int kWorkerExitWaitTimeout = 3;  ///< inbound migrants never came
 
 /// The complete, serializable description of one distributed search: the
-/// base search problem (exactly the `hadas search` flags that shape the
-/// evaluation/evolution stream) plus the island topology. The coordinator
-/// writes it durably into the workdir and hands it to every worker in the
-/// session WELCOME; a worker reconstructs its island configuration from it
-/// alone, so it needs nothing but the coordinator endpoint and `--island I`.
-struct DistSpec {
-  std::string device = "tx2-gpu";  ///< CLI device key (see devices cmd)
-  std::string space = "attentive"; ///< "attentive" | "ofa"
-  std::size_t outer_population = 16;
-  std::size_t outer_generations = 6;
-  std::size_t ioe_backbones_per_generation = 2;
-  std::size_t ioe_population = 30;
-  std::size_t ioe_generations = 20;
-  std::uint64_t seed = 2023;
-  std::size_t train_size = 1500;
-  std::size_t epochs = 8;
-  double max_latency_s = 0.0;
-  std::string faults;  ///< hw::parse_fault_config spec, empty = none
-  std::size_t checkpoint_keep = 3;
-  std::size_t threads = 0;  ///< per-worker exec threads (0 = auto)
+/// base search problem (`threads` is per worker) plus the island topology.
+/// The coordinator writes it durably into the workdir and hands it to every
+/// worker in the session WELCOME; a worker reconstructs its island
+/// configuration from it alone, so it needs nothing but the coordinator
+/// endpoint and `--island I`.
+struct DistSpec : core::SearchProblem {
   // Island topology. Migration is a deterministic ring: after every
   // `migration_every` generations island i sends its `migrants` best
   // genomes to island (i+1) % islands.
@@ -110,10 +96,6 @@ std::size_t island_population(const DistSpec& spec, std::size_t island);
 core::HadasConfig island_config(const DistSpec& spec,
                                 const std::string& workdir,
                                 std::size_t island);
-
-/// The spec's target and search space, resolved from their CLI names.
-hw::Target spec_target(const DistSpec& spec);
-supernet::SearchSpace spec_space(const DistSpec& spec);
 
 /// Target island `island` searches: its island_devices entry when the spec
 /// is fleet-scoped, otherwise the spec-wide device.

@@ -212,7 +212,7 @@ NetTransport::NetTransport(DistSpec spec, std::string workdir,
       options_(options),
       say_(std::move(say)),
       fingerprint_(spec_fingerprint(spec_)),
-      space_(spec_space(spec_)) {
+      space_(spec_.search_space()) {
   if (spawning() && options_.socket_handler != nullptr)
     throw std::invalid_argument(
         "NetTransport: spawned workers dial real TCP; a custom socket "

@@ -175,7 +175,7 @@ NetWorker::NetWorker(net::SocketHandler* handler, NetWorkerConfig config)
             "' holds a spec that does not match its session journal — it "
             "mixes two runs; use a fresh state dir");
       validate_spec(spec);
-      space_ = spec_space(spec);
+      space_ = spec.search_space();
       spec_ = std::move(spec);
     } catch (const util::durable::CheckpointCorruptError&) {
       // Unreadable local spec: the next WELCOME re-delivers it.
@@ -250,7 +250,7 @@ void NetWorker::adopt_spec(const std::string& spec_json) {
     }
   }
   if (!current) save_spec(spec_file, spec);
-  space_ = spec_space(spec);
+  space_ = spec.search_space();
   spec_ = std::move(spec);
 }
 

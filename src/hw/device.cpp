@@ -34,6 +34,26 @@ std::string target_name(Target target) {
   throw std::logic_error("target_name: bad target");
 }
 
+const char* target_key(Target target) {
+  switch (target) {
+    case Target::kAgxVoltaGpu: return "agx-gpu";
+    case Target::kCarmelCpu: return "agx-cpu";
+    case Target::kTx2PascalGpu: return "tx2-gpu";
+    case Target::kDenverCpu: return "tx2-cpu";
+  }
+  throw std::logic_error("target_key: bad target");
+}
+
+Target target_from_key(const std::string& key) {
+  std::string known;
+  for (Target target : all_targets()) {
+    if (key == target_key(target)) return target;
+    known += std::string(known.empty() ? "" : " | ") + target_key(target);
+  }
+  throw std::invalid_argument("unknown device '" + key + "' (expected " +
+                              known + ")");
+}
+
 double DeviceSpec::peak_macs_per_s(double core_freq_hz) const {
   return cores * macs_per_cycle_per_core * core_freq_hz;
 }

@@ -20,6 +20,12 @@ std::vector<Target> all_targets();
 /// Short display name, e.g. "AGX Volta GPU".
 std::string target_name(Target target);
 
+/// Device key of a target, e.g. agx-gpu: the `--device` vocabulary of the
+/// CLI, of dist specs and of fleet checkpoints.
+const char* target_key(Target target);
+/// Inverse of target_key; throws std::invalid_argument naming the keys.
+Target target_from_key(const std::string& key);
+
 /// Full parametric description of one compute target and its memory system.
 /// The constants model publicly documented Jetson characteristics (core
 /// counts, DVFS tables from Table II, LPDDR4 bus widths) plus calibration

@@ -147,24 +147,6 @@ bool ValidationReport::passed() const {
   return !checks.empty();
 }
 
-const char* target_key(hw::Target target) {
-  switch (target) {
-    case hw::Target::kAgxVoltaGpu: return "agx-gpu";
-    case hw::Target::kCarmelCpu: return "agx-cpu";
-    case hw::Target::kTx2PascalGpu: return "tx2-gpu";
-    case hw::Target::kDenverCpu: return "tx2-cpu";
-  }
-  return "unknown";
-}
-
-hw::Target target_from_key(const std::string& key) {
-  for (hw::Target target : hw::all_targets())
-    if (key == target_key(target)) return target;
-  throw std::invalid_argument(
-      "unknown device key '" + key +
-      "' (expected agx-gpu | agx-cpu | tx2-gpu | tx2-cpu)");
-}
-
 FleetRegistry::FleetRegistry(FleetConfig config) : config_(std::move(config)) {
   if (config_.devices == 0)
     throw std::invalid_argument("FleetRegistry: devices must be >= 1");
@@ -573,7 +555,7 @@ util::Json FleetRegistry::to_json() const {
   for (const Record& record : records_) {
     util::Json device;
     device["bdf"] = record.bdf.str();
-    device["target"] = target_key(record.target);
+    device["target"] = hw::target_key(record.target);
     device["state"] = lifecycle_name(record.state);
     device["transitions"] = util::Json(static_cast<double>(record.transitions));
     device["last_transition_round"] = util::Json(record.last_transition_round);
@@ -640,7 +622,7 @@ FleetRegistry FleetRegistry::from_json(const util::Json& json) {
   for (const util::Json& device : devices) {
     Record record;
     record.bdf = parse_bdf("devices[].bdf", device.at("bdf").as_string());
-    record.target = target_from_key(device.at("target").as_string());
+    record.target = hw::target_from_key(device.at("target").as_string());
     record.state = lifecycle_from_name(device.at("state").as_string());
     record.transitions =
         static_cast<std::uint64_t>(device.at("transitions").as_number());

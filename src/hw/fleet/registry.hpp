@@ -84,14 +84,6 @@ struct ValidationReport {
   bool passed() const;
 };
 
-/// Short CLI key of a target ("agx-gpu" | "agx-cpu" | "tx2-gpu" | "tx2-cpu")
-/// — the vocabulary of `--device` on search/serve, reused for fleet
-/// checkpoints and dist island scoping.
-const char* target_key(hw::Target target);
-
-/// Inverse of target_key; throws std::invalid_argument on an unknown key.
-hw::Target target_from_key(const std::string& key);
-
 /// Registry of N simulated heterogeneous devices addressed by BDF, each
 /// carrying its hardware model (DVFS tables via hw::make_device), a thermal
 /// state, a PR-2 DeviceHealth breaker and a lifecycle state machine.

@@ -1,6 +1,7 @@
 #include "supernet/search_space.hpp"
 
 #include <cmath>
+#include <stdexcept>
 
 namespace hadas::supernet {
 
@@ -40,6 +41,13 @@ SearchSpace SearchSpace::once_for_all(int num_classes) {
       {"mb7", {160, 176}, {1, 2}, {3, 5}, {6}, 1, true},
   }};
   return space;
+}
+
+SearchSpace SearchSpace::named(const std::string& name) {
+  if (name == "attentive") return attentive_nas();
+  if (name == "ofa") return once_for_all();
+  throw std::invalid_argument("unknown search space '" + name +
+                              "' (expected attentive | ofa)");
 }
 
 double SearchSpace::log10_cardinality() const {

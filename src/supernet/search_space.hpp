@@ -42,6 +42,10 @@ struct SearchSpace {
   /// family expressible as per-stage choice lists (Once-for-All [15]).
   static SearchSpace once_for_all(int num_classes = 100);
 
+  /// The space a CLI name selects ("attentive" | "ofa"); throws
+  /// std::invalid_argument on any other name.
+  static SearchSpace named(const std::string& name);
+
   /// log10 of the total number of distinct backbone configurations.
   double log10_cardinality() const;
 

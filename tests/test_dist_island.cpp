@@ -190,8 +190,8 @@ TEST(DistInline, SingleIslandMatchesPlainEngine) {
     s.outer_generations = 2;
     return s;
   }();
-  const auto space = dist::spec_space(spec);
-  core::HadasEngine engine(space, dist::spec_target(spec),
+  const auto space = spec.search_space();
+  core::HadasEngine engine(space, spec.target(),
                            plain_config_of(spec));
   const core::HadasResult plain = engine.run();
 
@@ -202,7 +202,7 @@ TEST(DistInline, SingleIslandMatchesPlainEngine) {
   const dist::DistReport report = coordinator.run();
 
   const util::Json plain_json =
-      core::result_to_json(plain, dist::spec_target(spec));
+      core::result_to_json(plain, spec.target());
   ASSERT_FALSE(report.interrupted);
   EXPECT_EQ(report.merged.at("final_pareto").dump(0),
             plain_json.at("final_pareto").dump(0));
@@ -236,7 +236,7 @@ TEST(DistInline, MigrantFilesRegenerateByteIdentically) {
       dist::DistCoordinator(spec, dir, options).run();
   ASSERT_FALSE(report.interrupted);
 
-  const auto space = dist::spec_space(spec);
+  const auto space = spec.search_space();
   const std::string path = dist::migrants_path(dir, 0, 0);
   std::ifstream in(path, std::ios::binary);
   const std::string original((std::istreambuf_iterator<char>(in)),
@@ -266,7 +266,7 @@ TEST(DistInline, SelectMigrantsIsDeterministicAndBounded) {
                                              spec.checkpoint_keep);
   const auto loaded = core::load_checkpoint_chain(chain);
   ASSERT_TRUE(loaded.has_value());
-  const auto space = dist::spec_space(spec);
+  const auto space = spec.search_space();
   const auto a = dist::select_migrants(space, spec, loaded->checkpoint);
   const auto b = dist::select_migrants(space, spec, loaded->checkpoint);
   EXPECT_EQ(a, b);
@@ -276,8 +276,8 @@ TEST(DistInline, SelectMigrantsIsDeterministicAndBounded) {
 
 TEST(DistEngine, ImmigrantSpliceAppliesOnlyAtItsGeneration) {
   const dist::DistSpec spec = tiny_spec();
-  const auto space = dist::spec_space(spec);
-  const auto target = dist::spec_target(spec);
+  const auto space = spec.search_space();
+  const auto target = spec.target();
 
   // Segment 1: evolve to the round boundary (generation 2) with a chain.
   const std::string dir = fresh_dir("splice");

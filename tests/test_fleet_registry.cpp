@@ -241,7 +241,7 @@ TEST(FleetRegistry, ExamineAndValidateReportHonestState) {
   const auto all = fleet.examine_all();
   ASSERT_EQ(all.size(), fleet.size());
   std::set<std::string> keys;
-  for (const auto& info : all) keys.insert(hw::fleet::target_key(info.target));
+  for (const auto& info : all) keys.insert(hw::target_key(info.target));
   EXPECT_EQ(keys.size(), 4u);  // all four paper targets provisioned
 
   const Bdf bdf = fleet.members().front();

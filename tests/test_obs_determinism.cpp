@@ -85,6 +85,24 @@ TEST(ObsDeterminism, SearchFrontIsBitIdenticalWithMetricsOnOrOff) {
   }
 }
 
+TEST(ObsExport, HealthGaugesOnlyWhenTheRobustLayerIsOn) {
+  const ObsOffGuard guard;
+  set_obs(true);
+  const auto space = supernet::SearchSpace::attentive_nas();
+  const auto exported_health = [&](const core::HadasConfig& config) {
+    core::HadasEngine engine(space, hw::Target::kTx2PascalGpu, config);
+    core::export_search_metrics(engine, engine.run());
+    return obs::MetricsRegistry::global().to_json().at("gauges").contains(
+        "hw.health.measurements");
+  };
+  // The robust-off run goes first: registrations outlive reset().
+  core::HadasConfig config = small_search_config(1);
+  config.outer_generations = 1;
+  EXPECT_FALSE(exported_health(config));
+  config.robust.faults.transient_failure_rate = 0.05;
+  EXPECT_TRUE(exported_health(config));
+}
+
 struct ServeHarness {
   data::SyntheticTask task{test::small_data()};
   supernet::CostModel cm{supernet::SearchSpace::attentive_nas()};

@@ -1,29 +1,17 @@
-// hadas — command-line front end to the library.
-//
-//   hadas devices
-//   hadas baselines --device tx2-gpu
-//   hadas search    --device tx2-gpu --out result.json
-//                   [--pop N] [--gens N] [--ioe-per-gen N] [--seed S]
-//                   [--checkpoint F] [--faults rate=0.05,noise=0.01]
-//   hadas show      result.json
-//   hadas deploy    --device tx2-gpu --result result.json [--index I]
-//                   [--policy entropy|confidence|oracle] [--threshold T]
-//   hadas client    --connect host:port --session ID [--out report.json]
-//
-// Every command is deterministic given its arguments.
+// hadas — command-line front end to the library. `hadas help` prints the
+// command table at the bottom of this file: every command and every flag
+// it accepts. Every command is deterministic given its arguments.
 
 #include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 
+#include "cli.hpp"
 #include "core/multi_device.hpp"
 #include "core/sensitivity.hpp"
 #include "core/serialize.hpp"
@@ -41,7 +29,6 @@
 #include "obs/trace.hpp"
 #include "runtime/deployment.hpp"
 #include "runtime/serve/supervisor.hpp"
-#include "serve_setup.hpp"
 #include "supernet/baselines.hpp"
 #include "util/durable/durable_file.hpp"
 #include "util/strutil.hpp"
@@ -49,12 +36,13 @@
 
 using namespace hadas;
 using tools::Args;
+using tools::Command;
+using tools::Flag;
+using tools::Flags;
 using tools::ObsOutputs;
-using tools::device_map;
 using tools::obs_setup;
 using tools::obs_write;
-using tools::parse_device;
-using tools::parse_space;
+using tools::search_problem;
 
 namespace {
 
@@ -73,91 +61,43 @@ void install_cancel_handlers() {
   std::signal(SIGTERM, handle_cancel_signal);
 }
 
-/// The flags each subcommand accepts. Parsing validates against this, so a
-/// typo'd --flag fails loudly instead of being silently ignored (and, e.g.,
-/// silently running a search with default budgets).
-const std::map<std::string, std::set<std::string>>& command_flags() {
-  static const std::map<std::string, std::set<std::string>> map = {
-      {"devices", {}},
-      {"baselines", {"device"}},
-      {"search",
-       {"device", "out", "pop", "gens", "ioe-per-gen", "ioe-pop", "ioe-gens",
-        "seed", "train-size", "epochs", "max-latency-ms", "space", "resume",
-        "checkpoint", "checkpoint-every", "checkpoint-keep", "faults",
-        "threads", "metrics-out", "trace-out", "dist", "dist-workdir",
-        "dist-mode", "migrate-every", "migrants", "heartbeat-ms",
-        "island-retries", "listen", "fleet", "fleet-seed"}},
-      {"worker", {"island", "wait-timeout-ms", "connect", "state-dir"}},
-      {"show", {}},
-      {"verify-checkpoint", {}},
-      {"metrics-dump", {"format"}},
-      {"deploy",
-       {"device", "result", "index", "policy", "threshold", "train-size",
-        "epochs", "space", "stream-seed"}},
-      {"sensitivity", {"device", "result", "index", "baseline", "space"}},
-      {"serve",
-       {"device", "result", "index", "baseline", "policy", "threshold",
-        "requests", "rate", "queue", "deadline-ms", "watchdog", "degraded",
-        "faults", "failover", "failover-faults", "thermal", "train-size",
-        "epochs", "space", "stream-seed", "trace-seed", "out", "journal",
-        "journal-every", "journal-keep", "threads", "metrics-out",
-        "trace-out"}},
-      {"portable",
-       {"pop", "gens", "backbones", "ioe-pop", "ioe-gens", "train-size",
-        "epochs", "seed", "space", "threads", "out", "fleet", "fleet-seed",
-        "fleet-state", "kill-per-round", "recover-per-round",
-        "degrade-per-round", "chaos-rounds", "chaos-seed", "serve-requests",
-        "serve-rate", "serve-faults", "serve-index", "serve-out",
-        "stream-seed", "metrics-out", "trace-out"}},
-      {"device", {"device", "fleet", "fleet-seed", "fleet-state"}},
-      {"client",
-       {"connect", "session", "state", "out", "requests", "rate",
-        "trace-seed", "batch", "retries", "backoff-ms"}},
-  };
-  return map;
-}
-
-int cmd_devices() {
+int cmd_devices(const Args&) {
   util::TextTable table({"name", "device", "core DVFS", "emc DVFS"},
                         {util::Align::kLeft, util::Align::kLeft,
                          util::Align::kRight, util::Align::kRight});
-  for (const auto& [name, target] : device_map()) {
+  std::map<std::string, hw::Target> by_key;
+  for (const hw::Target target : hw::all_targets())
+    by_key[hw::target_key(target)] = target;
+  for (const auto& [key, target] : by_key) {
     const auto device = hw::make_device(target);
-    table.add_row({name, device.name, std::to_string(device.core_freqs_hz.size()),
+    table.add_row({key, device.name, std::to_string(device.core_freqs_hz.size()),
                    std::to_string(device.emc_freqs_hz.size())});
   }
   table.print(std::cout);
   return 0;
 }
 
-/// The registry a `hadas device` invocation operates on: resumed from the
-/// durable fleet checkpoint when --fleet-state names an existing file,
-/// otherwise provisioned fresh from --fleet/--fleet-seed (deterministic, so
-/// repeated invocations see the same fleet).
-hw::fleet::FleetRegistry device_cmd_registry(const Args& args) {
-  if (const auto state = args.get("fleet-state"))
-    if (std::ifstream(*state).good()) return hw::fleet::FleetRegistry::load(*state);
-  hw::fleet::FleetConfig config;
-  config.devices = args.get_or("fleet", config.devices);
-  config.seed = args.get_or("fleet-seed", std::size_t{config.seed});
-  return hw::fleet::FleetRegistry(std::move(config));
+/// "<count> <lifecycle>" for each lifecycle state the fleet has a device in.
+std::string state_tally(const hw::fleet::FleetRegistry& fleet) {
+  std::string tally;
+  for (const auto& [state, count] : fleet.tally())
+    tally += (tally.empty() ? "" : ", ") + std::to_string(count) + " " +
+             hw::fleet::lifecycle_name(state);
+  return tally;
 }
 
 /// `hadas device examine|validate|reset`: xbutil-style fleet device
 /// management. Devices are addressed by BDF (--device 0000:01:00.1) or
 /// --device all (the default for examine/validate).
 int cmd_device(const Args& args) {
-  static const char* kUsage =
-      "usage: hadas device examine|validate|reset [--device BDF|all]\n"
-      "       [--fleet N] [--fleet-seed S] [--fleet-state F]";
-  if (args.positional().empty()) throw std::invalid_argument(kUsage);
+  if (args.positional().empty()) throw std::invalid_argument(args.usage());
   const std::string action = args.positional().front();
   if (action != "examine" && action != "validate" && action != "reset")
     throw std::invalid_argument("unknown device action '" + action +
                                 "' (expected examine, validate or reset)\n" +
-                                kUsage);
+                                args.usage());
 
-  hw::fleet::FleetRegistry registry = device_cmd_registry(args);
+  hw::fleet::FleetRegistry registry = tools::provision_fleet(args).registry;
   const std::string selector = args.get_or("device", std::string("all"));
   std::vector<hw::fleet::Bdf> selected;
   if (selector == "all") {
@@ -178,7 +118,7 @@ int cmd_device(const Args& args) {
       util::TextTable table({"field", "value"},
                             {util::Align::kLeft, util::Align::kLeft});
       table.set_title("device " + info.bdf.str());
-      table.add_row({"device", std::string(hw::fleet::target_key(info.target)) +
+      table.add_row({"device", std::string(hw::target_key(info.target)) +
                                    " (" + hw::target_name(info.target) + ")"});
       table.add_row({"group", std::to_string(info.group)});
       table.add_row({"lifecycle", hw::fleet::lifecycle_name(info.state)});
@@ -205,20 +145,14 @@ int cmd_device(const Args& args) {
                       ")");
       for (const auto& bdf : selected) {
         const hw::fleet::DeviceInfo info = registry.examine(bdf);
-        table.add_row({info.bdf.str(), hw::fleet::target_key(info.target),
+        table.add_row({info.bdf.str(), hw::target_key(info.target),
                        hw::fleet::lifecycle_name(info.state),
                        hw::breaker_state_name(info.breaker),
                        util::fmt_fixed(info.temperature_c, 1),
                        std::to_string(info.transitions)});
       }
       table.print(std::cout);
-      std::string tally;
-      for (const auto& [state, count] : registry.tally()) {
-        if (!tally.empty()) tally += ", ";
-        tally += std::to_string(count) + " " +
-                 hw::fleet::lifecycle_name(state);
-      }
-      std::cout << "state tally: " << tally << "\n";
+      std::cout << "state tally: " << state_tally(registry) << "\n";
     }
     return 0;
   }
@@ -261,9 +195,9 @@ int cmd_device(const Args& args) {
 }
 
 int cmd_baselines(const Args& args) {
-  const hw::Target target = parse_device(args.get_or("device", "tx2-gpu"));
-  const auto space = supernet::SearchSpace::attentive_nas();
-  const core::StaticEvaluator evaluator(space, target);
+  const core::SearchProblem problem = search_problem(args);
+  const hw::Target target = problem.target();
+  const core::StaticEvaluator evaluator(problem.search_space(), target);
   util::TextTable table({"model", "accuracy", "latency ms", "energy mJ", "MMACs"},
                         {util::Align::kLeft, util::Align::kRight,
                          util::Align::kRight, util::Align::kRight,
@@ -287,7 +221,8 @@ int cmd_baselines(const Args& args) {
 /// ring migration every --migrate-every generations; the coordinator
 /// supervises (heartbeats, restarts, quarantine) and merges the island
 /// fronts.
-int run_dist_search(const Args& args, std::size_t islands) {
+int run_dist_search(const Args& args, const core::SearchProblem& problem,
+                    std::size_t islands) {
   if (args.get("checkpoint") || args.get("checkpoint-every"))
     throw std::invalid_argument(
         "--checkpoint/--checkpoint-every cannot be combined with --dist: the "
@@ -297,21 +232,7 @@ int run_dist_search(const Args& args, std::size_t islands) {
         "--dist resumes from its workdir; only '--resume auto' is accepted");
 
   dist::DistSpec spec;
-  spec.device = args.get_or("device", std::string("tx2-gpu"));
-  spec.space = args.get_or("space", std::string("attentive"));
-  spec.outer_population = args.get_or("pop", spec.outer_population);
-  spec.outer_generations = args.get_or("gens", spec.outer_generations);
-  spec.ioe_backbones_per_generation =
-      args.get_or("ioe-per-gen", spec.ioe_backbones_per_generation);
-  spec.ioe_population = args.get_or("ioe-pop", spec.ioe_population);
-  spec.ioe_generations = args.get_or("ioe-gens", spec.ioe_generations);
-  spec.seed = args.get_or("seed", std::size_t{2023});
-  spec.train_size = args.get_or("train-size", spec.train_size);
-  spec.epochs = args.get_or("epochs", spec.epochs);
-  spec.max_latency_s = args.get_or("max-latency-ms", 0.0) * 1e-3;
-  spec.faults = args.get_or("faults", std::string());
-  spec.checkpoint_keep = args.get_or("checkpoint-keep", spec.checkpoint_keep);
-  spec.threads = args.get_or("threads", spec.threads);
+  static_cast<core::SearchProblem&>(spec) = problem;
   spec.islands = islands;
   spec.migration_every = args.get_or("migrate-every", spec.migration_every);
   spec.migrants = args.get_or("migrants", spec.migrants);
@@ -322,11 +243,8 @@ int run_dist_search(const Args& args, std::size_t islands) {
   // model concurrently and the merge unions their fronts.
   if (const std::size_t fleet_devices = args.get_or("fleet", std::size_t{0});
       fleet_devices > 0) {
-    hw::fleet::FleetConfig fleet_config;
-    fleet_config.devices = fleet_devices;
-    fleet_config.seed =
-        args.get_or("fleet-seed", std::size_t{fleet_config.seed});
-    const hw::fleet::FleetRegistry registry(std::move(fleet_config));
+    const hw::fleet::FleetRegistry registry =
+        tools::provision_fleet(args).registry;
     std::vector<std::size_t> groups;
     for (std::size_t g = 0; g < registry.group_count(); ++g)
       if (registry.group_serviceable(g) > 0) groups.push_back(g);
@@ -336,7 +254,7 @@ int run_dist_search(const Args& args, std::size_t islands) {
     spec.island_devices.reserve(spec.islands);
     for (std::size_t i = 0; i < spec.islands; ++i)
       spec.island_devices.push_back(
-          hw::fleet::target_key(registry.group_target(groups[i % groups.size()])));
+          hw::target_key(registry.group_target(groups[i % groups.size()])));
     std::cout << "fleet-scoped islands (" << fleet_devices << " devices, "
               << groups.size() << " group(s)):";
     for (std::size_t i = 0; i < spec.islands; ++i)
@@ -421,10 +339,7 @@ int run_dist_search(const Args& args, std::size_t islands) {
 int cmd_worker(const Args& args) {
   const auto connect = args.get("connect");
   const auto island_arg = args.get("island");
-  if (!connect || !island_arg)
-    throw std::invalid_argument(
-        "usage: hadas worker --connect HOST:PORT --island I "
-        "[--state-dir DIR]");
+  if (!connect || !island_arg) throw std::invalid_argument(args.usage());
   dist::NetWorkerConfig config;
   config.connect = args.get_hostport("connect");
   config.island = util::parse_size("--island", *island_arg);
@@ -446,37 +361,28 @@ int cmd_worker(const Args& args) {
 }
 
 int cmd_search(const Args& args) {
+  core::SearchProblem problem = search_problem(args);
+  problem.faults = args.get_or("faults", problem.faults);
+  problem.threads = args.get_or("threads", problem.threads);
   if (const std::size_t islands = args.get_or("dist", std::size_t{0});
       islands > 0)
-    return run_dist_search(args, islands);
+    return run_dist_search(args, problem, islands);
   if (args.get("fleet") || args.get("fleet-seed"))
     throw std::invalid_argument(
         "--fleet scopes islands of a distributed search; it requires --dist K "
         "(for a fleet-wide joint search use `hadas portable --fleet N`)");
-  const hw::Target target = parse_device(args.get_or("device", "tx2-gpu"));
+  const hw::Target target = problem.target();
   const std::string out_path = args.get_or("out", std::string("hadas_result.json"));
 
-  core::HadasConfig config;
-  config.outer_population = args.get_or("pop", std::size_t{16});
-  config.outer_generations = args.get_or("gens", std::size_t{6});
-  config.ioe_backbones_per_generation = args.get_or("ioe-per-gen", std::size_t{2});
-  config.ioe.nsga.population = args.get_or("ioe-pop", std::size_t{30});
-  config.ioe.nsga.generations = args.get_or("ioe-gens", std::size_t{20});
-  config.seed = args.get_or("seed", std::size_t{2023});
-  config.data.train_size = args.get_or("train-size", std::size_t{1500});
-  config.bank.train.epochs = args.get_or("epochs", std::size_t{8});
-  config.max_latency_s = args.get_or("max-latency-ms", 0.0) * 1e-3;
+  core::HadasConfig config = problem.config();
   config.checkpoint_path = args.get_or("checkpoint", std::string());
-  config.checkpoint_every = args.get_or("checkpoint-every", std::size_t{1});
-  config.checkpoint_keep = args.get_or("checkpoint-keep", std::size_t{3});
-  config.exec.threads = args.get_or("threads", config.exec.threads);
-  if (const auto faults = args.get("faults"))
-    config.robust.faults = hw::parse_fault_config(*faults);
+  config.checkpoint_every =
+      args.get_or("checkpoint-every", config.checkpoint_every);
   config.cancel = &g_cancel;
   install_cancel_handlers();
   const ObsOutputs obs_out = obs_setup(args);
 
-  const supernet::SearchSpace space = parse_space(args);
+  const supernet::SearchSpace space = problem.search_space();
   core::WarmStart warm;
   if (const auto resume = args.get("resume")) {
     if (*resume == "auto") {
@@ -538,8 +444,7 @@ int cmd_search(const Args& args) {
 }
 
 int cmd_show(const Args& args) {
-  if (args.positional().empty())
-    throw std::invalid_argument("usage: hadas show <result.json>");
+  if (args.positional().empty()) throw std::invalid_argument(args.usage());
   const auto json = core::load_json(args.positional().front());
   const auto solutions = core::final_pareto_from_json(json);
   util::TextTable table({"#", "backbone", "exits", "core", "emc", "static acc",
@@ -570,8 +475,7 @@ int cmd_show(const Args& args) {
 }
 
 int cmd_verify_checkpoint(const Args& args) {
-  if (args.positional().empty())
-    throw std::invalid_argument("usage: hadas verify-checkpoint <file>");
+  if (args.positional().empty()) throw std::invalid_argument(args.usage());
   const std::string path = args.positional().front();
   const auto info = util::durable::DurableFile::inspect(path);
   if (!info.exists) {
@@ -646,36 +550,26 @@ int cmd_verify_checkpoint(const Args& args) {
       table.add_row({"devices / serviceable",
                      std::to_string(fleet.size()) + " / " +
                          std::to_string(fleet.serviceable_count())});
-      std::string tally;
-      for (const auto& [state, count] : fleet.tally()) {
-        if (!tally.empty()) tally += ", ";
-        tally += std::to_string(count) + " " + hw::fleet::lifecycle_name(state);
-      }
-      table.add_row({"state tally", tally});
+      table.add_row({"state tally", state_tally(fleet)});
       table.add_row({"chaos round", std::to_string(fleet.round())});
       table.add_row({"last transition round",
                      std::to_string(fleet.last_transition_round())});
-    } else if (tag == net::kSessionFormatTag) {
-      const auto session = net::load_session_state(path);
-      table.add_row({"payload", "valid net session journal"});
+    } else if (tag == net::kSessionFormatTag ||
+               tag == dist::kDistSessionFormatTag) {
+      const bool serve = tag == net::kSessionFormatTag;
+      const auto session = net::load_session_state(path, tag.c_str());
+      table.add_row({"payload", serve ? "valid net session journal"
+                                      : "valid dist-net session journal"});
       table.add_row({"session id", session->session_id});
-      table.add_row({"server fingerprint", session->fingerprint});
+      table.add_row({serve ? "server fingerprint" : "spec fingerprint",
+                     session->fingerprint});
       table.add_row({"write acked / unacked bytes",
                      std::to_string(session->write_acked) + " / " +
                          std::to_string(session->write_unacked.size())});
       table.add_row({"read sequence", std::to_string(session->read_seq)});
-    } else if (tag == dist::kDistSessionFormatTag) {
-      const auto session =
-          net::load_session_state(path, dist::kDistSessionFormatTag);
-      table.add_row({"payload", "valid dist-net session journal"});
-      table.add_row({"session id", session->session_id});
-      table.add_row({"spec fingerprint", session->fingerprint});
-      table.add_row({"write acked / unacked bytes",
-                     std::to_string(session->write_acked) + " / " +
-                         std::to_string(session->write_unacked.size())});
-      table.add_row({"read sequence", std::to_string(session->read_seq)});
-      // The app document tells the two roles apart: the coordinator journals
-      // which inbound rounds it pushed, a worker which rounds it uploaded.
+      // A dist-net app document tells the two roles apart: the coordinator
+      // journals which inbound rounds it pushed, a worker which rounds it
+      // uploaded.
       if (session->app.contains("pushed"))
         table.add_row({"role / migrant rounds pushed",
                        "coordinator / " +
@@ -723,28 +617,17 @@ int cmd_verify_checkpoint(const Args& args) {
 }
 
 int cmd_deploy(const Args& args) {
-  const hw::Target target = parse_device(args.get_or("device", "tx2-gpu"));
-  const std::string result_path =
-      args.get_or("result", std::string("hadas_result.json"));
-  const std::size_t index = args.get_or("index", std::size_t{0});
+  const core::SearchProblem problem = search_problem(args);
   const std::string policy_name = args.get_or("policy", std::string("entropy"));
-
-  const auto solutions =
-      core::final_pareto_from_json(core::load_json(result_path));
-  if (index >= solutions.size())
-    throw std::invalid_argument("--index out of range (have " +
-                                std::to_string(solutions.size()) + " designs)");
-  const core::FinalSolution& sol = solutions[index];
-
-  core::HadasConfig config;
-  config.data.train_size = args.get_or("train-size", std::size_t{1500});
-  config.bank.train.epochs = args.get_or("epochs", std::size_t{8});
-  const supernet::SearchSpace space = parse_space(args);
-  core::HadasEngine engine(space, target, config);
+  const tools::Design design = tools::select_design(args);
+  const dynn::ExitPlacement& placement = *design.placement;
+  const hw::DvfsSetting& setting = *design.setting;
+  core::HadasEngine engine(problem.search_space(), problem.target(),
+                           problem.config());
 
   std::cout << "training exit bank for the selected design...\n";
-  const auto& bank = engine.exit_bank(sol.backbone);
-  const auto& costs = engine.cost_table(sol.backbone);
+  const auto& bank = engine.exit_bank(design.backbone);
+  const auto& costs = engine.cost_table(design.backbone);
   const runtime::DeploymentSimulator sim(bank, costs);
   const data::SampleStream stream(engine.task(), 2000,
                                   args.get_or("stream-seed", std::size_t{5}));
@@ -759,7 +642,7 @@ int cmd_deploy(const Args& args) {
     double threshold = args.get_or("threshold", -1.0);
     if (threshold < 0.0) {
       threshold = sim.calibrate_entropy_threshold(
-          sol.placement, sol.setting, stream, bank.backbone_accuracy() - 0.02);
+          placement, setting, stream, bank.backbone_accuracy() - 0.02);
       std::cout << "calibrated entropy threshold: "
                 << util::fmt_fixed(threshold, 3) << "\n";
     }
@@ -768,11 +651,11 @@ int cmd_deploy(const Args& args) {
     throw std::invalid_argument("unknown --policy '" + policy_name + "'");
   }
 
-  const auto report = sim.run(sol.placement, sol.setting, *policy, stream);
+  const auto report = sim.run(placement, setting, *policy, stream);
   util::TextTable table({"metric", "value"},
                         {util::Align::kLeft, util::Align::kRight});
-  table.set_title("deployment of design #" + std::to_string(index) + " with " +
-                  policy->name() + " controller");
+  table.set_title("deployment of design #" + std::to_string(design.index) +
+                  " with " + policy->name() + " controller");
   table.add_row({"samples", std::to_string(report.samples)});
   table.add_row({"accuracy", util::fmt_pct(report.accuracy, 2)});
   table.add_row({"avg energy", util::fmt_fixed(report.avg_energy_j * 1e3, 2) + " mJ"});
@@ -786,10 +669,7 @@ int cmd_serve(const Args& args) {
   const ObsOutputs obs_out = obs_setup(args);
   const tools::ServeStack stack(args);
 
-  runtime::serve::TrafficConfig traffic;
-  traffic.requests = args.get_or("requests", std::size_t{1000});
-  traffic.arrival_rate_hz = args.get_or("rate", 100.0);
-  traffic.seed = args.get_or("trace-seed", std::size_t{0x5E21});
+  const runtime::serve::TrafficConfig traffic = tools::traffic(args);
   const auto trace = runtime::serve::poisson_trace(*stack.stream, traffic);
 
   std::cout << "replaying " << trace.size() << " requests at "
@@ -798,8 +678,8 @@ int cmd_serve(const Args& args) {
                     ? "robustness envelope active"
                     : "pass-through")
             << ")...\n";
-  const runtime::serve::ServeReport report =
-      stack.supervisor->run(*stack.placement, stack.ladder_view(), trace);
+  const runtime::serve::ServeReport report = stack.supervisor->run(
+      *stack.design.placement, stack.ladder_view(), trace);
 
   util::TextTable table({"metric", "value"},
                         {util::Align::kLeft, util::Align::kRight});
@@ -838,30 +718,10 @@ int cmd_serve(const Args& args) {
 }
 
 int cmd_sensitivity(const Args& args) {
-  const hw::Target target = parse_device(args.get_or("device", "tx2-gpu"));
-  const std::string result_path =
-      args.get_or("result", std::string("hadas_result.json"));
-  const std::size_t index = args.get_or("index", std::size_t{0});
-
-  supernet::BackboneConfig backbone;
-  if (args.get("baseline")) {
-    const std::string name = *args.get("baseline");
-    bool found = false;
-    for (const auto& baseline : supernet::attentive_nas_baselines())
-      if (baseline.name == name) {
-        backbone = baseline.config;
-        found = true;
-      }
-    if (!found) throw std::invalid_argument("unknown --baseline '" + name + "'");
-  } else {
-    const auto solutions =
-        core::final_pareto_from_json(core::load_json(result_path));
-    if (index >= solutions.size())
-      throw std::invalid_argument("--index out of range");
-    backbone = solutions[index].backbone;
-  }
-
-  const core::StaticEvaluator evaluator(parse_space(args), target);
+  const core::SearchProblem problem = search_problem(args);
+  const hw::Target target = problem.target();
+  const supernet::BackboneConfig backbone = tools::select_design(args).backbone;
+  const core::StaticEvaluator evaluator(problem.search_space(), target);
   const auto report = core::analyze_sensitivity(evaluator, backbone);
   util::TextTable table({"gene", "choices", "max acc drop", "max energy saving",
                          "acc%/J of best save"},
@@ -968,28 +828,11 @@ int cmd_portable(const Args& args) {
   std::optional<hw::fleet::FleetRegistry> fleet;
   const std::string fleet_state = args.get_or("fleet-state", std::string());
   if (args.get("fleet") || !fleet_state.empty()) {
-    if (!fleet_state.empty() && std::ifstream(fleet_state).good()) {
-      // Resume: the checkpoint carries the full config (chaos schedule
-      // included), so the chaos flags of this invocation are ignored.
-      fleet.emplace(hw::fleet::FleetRegistry::load(fleet_state));
+    tools::Fleet provisioned = tools::provision_fleet(args);
+    fleet.emplace(std::move(provisioned.registry));
+    if (provisioned.resumed)
       std::cout << "resumed fleet state from " << fleet_state << " (round "
                 << fleet->round() << ")\n";
-    } else {
-      hw::fleet::FleetConfig fleet_config;
-      fleet_config.devices = args.get_or("fleet", fleet_config.devices);
-      fleet_config.seed =
-          args.get_or("fleet-seed", std::size_t{fleet_config.seed});
-      fleet_config.chaos.kill_per_round =
-          args.get_or("kill-per-round", std::size_t{0});
-      fleet_config.chaos.recover_per_round =
-          args.get_or("recover-per-round", std::size_t{0});
-      fleet_config.chaos.degrade_per_round =
-          args.get_or("degrade-per-round", std::size_t{0});
-      fleet_config.chaos.rounds = args.get_or("chaos-rounds", std::size_t{0});
-      fleet_config.chaos.seed =
-          args.get_or("chaos-seed", std::size_t{fleet_config.chaos.seed});
-      fleet.emplace(std::move(fleet_config));
-    }
     config.fleet = &*fleet;
     config.fleet_state_path = fleet_state;
     std::cout << "fleet: " << fleet->size() << " devices, "
@@ -1014,7 +857,7 @@ int cmd_portable(const Args& args) {
 
   std::cout << "cross-device joint search (one backbone+exits, per-device"
                " DVFS)...\n";
-  const supernet::SearchSpace space = parse_space(args);
+  const supernet::SearchSpace space = search_problem(args).search_space();
   core::MultiDeviceEngine engine(space, config);
   const core::MultiDeviceResult result = engine.run();
 
@@ -1053,9 +896,7 @@ int cmd_portable(const Args& args) {
 }
 
 int cmd_metrics_dump(const Args& args) {
-  if (args.positional().empty())
-    throw std::invalid_argument(
-        "usage: hadas metrics-dump <metrics.json> [--format table|prom]");
+  if (args.positional().empty()) throw std::invalid_argument(args.usage());
   const std::string path = args.positional().front();
   const util::Json snapshot = core::load_json(path);
   const std::string format = args.get_or("format", std::string("table"));
@@ -1093,9 +934,7 @@ int cmd_client(const Args& args) {
   config.session_id = args.get_or("session", std::string("default"));
   config.state_path = args.get_or(
       "state", "hadas_client_" + config.session_id + ".json");
-  config.traffic.requests = args.get_or("requests", std::size_t{1000});
-  config.traffic.arrival_rate_hz = args.get_or("rate", 100.0);
-  config.traffic.seed = args.get_or("trace-seed", std::size_t{0x5E21});
+  config.traffic = tools::traffic(args);
   config.batch = args.get_or("batch", config.batch);
   if (config.batch == 0 || config.batch > net::kMaxRequestBatch)
     throw std::invalid_argument(
@@ -1118,97 +957,129 @@ int cmd_client(const Args& args) {
   std::cout << "done (" << client.reconnects() << " reconnects); server "
             << client.server_fingerprint() << "\n";
 
-  // The report arrives pre-rendered (pretty JSON + newline); write the raw
-  // bytes so the file byte-compares against `hadas serve --out`.
-  if (const auto out = args.get("out")) {
-    std::ofstream file(*out, std::ios::binary);
-    if (!file)
-      throw std::runtime_error("cannot open --out file '" + *out + "'");
-    file << client.report();
-    std::cout << "serve report -> " << *out << "\n";
-  } else {
+  if (const auto out = args.get("out"))
+    tools::save_report(*out, client.report());
+  else
     std::cout << client.report();
-  }
   return 0;
 }
 
+/// The command table: `hadas help`, flag validation and dispatch all read it.
+const std::vector<Command>& commands() {
+  using tools::join;
+  static const Flags budget = join(
+      {{{"pop", "N", "outer population"},
+        {"gens", "N", "outer generations"},
+        {"ioe-pop", "N", "inner (exit + DVFS) population"},
+        {"ioe-gens", "N", "inner generations"},
+        {"seed", "S", "search seed"},
+        tools::kThreadsFlag},
+       tools::kBankFlags});
+  static const Flags fleet = {
+      {"fleet", "N", "devices of a freshly provisioned simulated fleet"},
+      {"fleet-seed", "S", "provisioning seed of that fleet"}};
+  static const Flag fleet_state = {
+      "fleet-state", "F", "durable fleet state, resumed when the file exists"};
+  static const std::vector<Command> table = {
+      {"devices", "", "list the hardware targets and their --device keys", {},
+       cmd_devices},
+      {"device", "examine|validate|reset",
+       "manage simulated fleet devices by BDF, xbutil-style",
+       join({{{"device", "BDF|all", "one device, or every one (default)"}},
+             fleet, {fleet_state}}),
+       cmd_device},
+      {"baselines", "", "evaluate AttentiveNAS a0..a6 on a device",
+       {tools::kDeviceFlag}, cmd_baselines},
+      {"search", "", "run a bi-level backbone, exit and DVFS search",
+       join({{tools::kDeviceFlag,
+              {"out", "F", "write the result JSON"},
+              {"ioe-per-gen", "N", "backbones per generation given an IOE"},
+              {"max-latency-ms", "T", "static latency budget (0 = none)"},
+              {"resume", "F|auto", "warm-start from a result, or resume"},
+              {"checkpoint", "F", "write a resumable checkpoint chain"},
+              {"checkpoint-every", "N", "generations between checkpoints"},
+              {"checkpoint-keep", "K", "checkpoint snapshots kept"},
+              {"faults", "CFG", "inject faults, e.g. rate=0.05,nan=0.01"},
+              {"dist", "K", "island-model search over K islands"},
+              {"dist-workdir", "DIR", "durable state of a --dist run"},
+              {"dist-mode", "spawn|inline|net", "where the islands run"},
+              {"listen", "HOST:PORT", "accept remote workers (net mode)"},
+              {"migrate-every", "N", "generations between ring migrations"},
+              {"migrants", "M", "genomes each island sends per migration"},
+              {"heartbeat-ms", "T", "worker silence deadline"},
+              {"island-retries", "N", "island failures before quarantine"}},
+             budget, fleet, tools::kObsFlags}),
+       cmd_search},
+      {"worker", "--connect HOST:PORT --island I",
+       "run one island of a --dist search (forked, or dialing --listen)",
+       {{"connect", "HOST:PORT", "coordinator endpoint"},
+        {"island", "I", "island index"},
+        {"state-dir", "DIR", "durable state of this island"},
+        {"wait-timeout-ms", "T", "give up after this long without progress"}},
+       cmd_worker},
+      {"show", "<result.json>", "print a saved search result", {}, cmd_show},
+      {"verify-checkpoint", "<file>",
+       "check a durable state file's envelope and load its payload", {},
+       cmd_verify_checkpoint},
+      {"metrics-dump", "<metrics.json>", "print a --metrics-out snapshot",
+       {{"format", "table|prom", "a table (default) or Prometheus text"}},
+       cmd_metrics_dump},
+      {"deploy", "", "simulate a saved design under a runtime exit policy",
+       join({{tools::kDeviceFlag}, tools::kResultFlags, tools::kPolicyFlags,
+             tools::kBankFlags, {tools::kStreamSeedFlag}}),
+       cmd_deploy},
+      {"sensitivity", "", "single-gene sensitivity of a design's backbone",
+       join({{tools::kDeviceFlag, tools::kBaselineFlag}, tools::kResultFlags,
+             {tools::kSpaceFlag}}),
+       cmd_sensitivity},
+      {"serve", "", "replay a traffic trace through a design",
+       join({tools::kServeStackFlags, tools::kTrafficFlags,
+             {{"out", "F", "write the serve report JSON"},
+              {"journal", "F", "periodic durable snapshot, resumed on rerun"},
+              {"journal-every", "N", "requests between journal snapshots"},
+              {"journal-keep", "K", "journal snapshots kept"}},
+             tools::kObsFlags}),
+       cmd_serve},
+      {"portable", "",
+       "cross-device joint search: one backbone and exits, DVFS per device",
+       join({budget,
+             {{"backbones", "N", "backbones per generation given an IOE"},
+              {"out", "F", "write the result JSON"}},
+             fleet,
+             {fleet_state,
+              {"kill-per-round", "K", "chaos: devices killed per round"},
+              {"recover-per-round", "R", "chaos: devices recovered per round"},
+              {"degrade-per-round", "D", "chaos: devices heated per round"},
+              {"chaos-rounds", "N", "chaos: rounds in the schedule"},
+              {"chaos-seed", "S", "chaos: schedule seed"},
+              {"serve-requests", "N", "then serve a design fleet-wide"},
+              {"serve-rate", "HZ", "mean arrival rate of that trace"},
+              {"serve-faults", "CFG", "faults injected into every lane"},
+              {"serve-index", "I", "design index to serve"},
+              {"serve-out", "F", "write that serve report JSON"},
+              tools::kStreamSeedFlag},
+             tools::kObsFlags}),
+       cmd_portable},
+      {"client", "--connect HOST:PORT",
+       "stream a trace to a hadasd daemon over a resumable session",
+       join({{{"connect", "HOST:PORT", "daemon endpoint"},
+              {"session", "ID", "resumable session identity"},
+              {"state", "F", "durable client journal"},
+              {"out", "F", "write the returned serve report"},
+              {"batch", "N", "requests per wire frame"},
+              {"retries", "N", "connection attempts"},
+              {"backoff-ms", "T", "delay between reconnects"}},
+             tools::kTrafficFlags}),
+       cmd_client},
+  };
+  return table;
+}
+
 void print_usage() {
-  std::cout << "usage: hadas <command> [options]\n\n"
-               "commands:\n"
-               "  devices                      list hardware targets\n"
-               "  device examine|validate|reset  manage a fleet device\n"
-               "         [--device BDF|all]    address one device (or every one)\n"
-               "         [--fleet N]           fleet size when provisioning fresh\n"
-               "         [--fleet-seed S] [--fleet-state F]\n"
-               "  baselines --device D         evaluate a0..a6 on a device\n"
-               "  search --device D --out F    run a bi-level search\n"
-               "         [--resume F|auto]     warm-start from a saved result,\n"
-               "                               or 'auto' = continue from the\n"
-               "                               --checkpoint chain\n"
-               "         [--space attentive|ofa] [--max-latency-ms T]\n"
-               "         [--checkpoint F]      save/resume generation snapshots\n"
-               "         [--checkpoint-every N] [--checkpoint-keep K]\n"
-               "         [--faults CFG]        inject faults, e.g.\n"
-               "                               rate=0.05,noise=0.01,nan=0.01\n"
-               "         [--threads N]         worker threads (0 = auto)\n"
-               "         [--metrics-out F]     write a metrics snapshot JSON\n"
-               "         [--trace-out F]       write a Chrome trace_event JSON\n"
-               "         [--dist K]            island-model distributed search\n"
-               "         [--dist-workdir DIR]  durable state of the dist run\n"
-               "         [--dist-mode spawn|inline|net] worker subprocesses\n"
-               "                               (default), in-process reference\n"
-               "                               mode, or remote workers\n"
-               "         [--listen HOST:PORT]  accept remote workers (net mode)\n"
-               "         [--migrate-every N] [--migrants M]\n"
-               "         [--heartbeat-ms T]    worker silence deadline\n"
-               "         [--island-retries N]  failures before quarantine\n"
-               "         [--fleet N [--fleet-seed S]] scope islands to fleet\n"
-               "                               device groups (round-robin)\n"
-               "  worker --connect HOST:PORT --island I [--state-dir DIR]\n"
-               "                               one island of a --dist search:\n"
-               "                               forked by the coordinator, or\n"
-               "                               dialing a --listen coordinator\n"
-               "                               from another machine\n"
-               "  show F                       print a saved result\n"
-               "  verify-checkpoint F          inspect a durable state file:\n"
-               "                               search checkpoint, dist spec,\n"
-               "                               migrant set, island result, net\n"
-               "                               or dist-net session, serve\n"
-               "                               journal, or fleet state\n"
-               "  deploy --device D --result F simulate a saved design\n"
-               "  sensitivity --device D       per-gene ablation of a design\n"
-               "    (--baseline aN | --result F [--index I])\n"
-               "  serve --device D             replay a traffic trace through a design\n"
-               "    (--baseline aN | --result F [--index I])\n"
-               "         [--requests N] [--rate HZ] [--queue CAP]\n"
-               "         [--deadline-ms T] [--watchdog FACTOR]\n"
-               "         [--degraded on|off] [--thermal on|off]\n"
-               "         [--faults CFG] [--failover D2 [--failover-faults CFG]]\n"
-               "         [--journal F]        periodic durable snapshot + resume\n"
-               "         [--journal-every N] [--journal-keep K]\n"
-               "         [--threads N] [--metrics-out F] [--trace-out F]\n"
-               "         [--out F]            save the full serve report JSON\n"
-               "  metrics-dump F               print a --metrics-out snapshot\n"
-               "         [--format table|prom] table (default) or Prometheus text\n"
-               "  portable                     cross-device joint search\n"
-               "         [--fleet N]           search a BDF-addressed fleet\n"
-               "                               (one context per device group)\n"
-               "         [--fleet-seed S] [--fleet-state F]\n"
-               "         [--kill-per-round K --recover-per-round R\n"
-               "          --degrade-per-round D --chaos-rounds N\n"
-               "          [--chaos-seed S]]    rolling-death schedule\n"
-               "         [--out F]             save the full result JSON\n"
-               "         [--serve-requests N [--serve-rate HZ]\n"
-               "          [--serve-index I] [--serve-faults CFG]\n"
-               "          [--serve-out F]]     serve a design fleet-wide after\n"
-               "                               the search, with failover\n"
-               "         [--threads N] [--metrics-out F] [--trace-out F]\n"
-               "  client --connect HOST:PORT   stream a trace to a hadasd daemon\n"
-               "         [--session ID]        resumable session identity\n"
-               "         [--state F]           durable client journal path\n"
-               "         [--requests N] [--rate HZ] [--trace-seed S]\n"
-               "         [--retries N] [--backoff-ms T]\n"
-               "         [--out F]             save the returned serve report\n";
+  std::cout << "usage: hadas <command> [options]; every --flag takes one "
+               "value\n\ncommands:\n";
+  for (const Command& command : commands())
+    tools::print_command(std::cout, command);
 }
 
 }  // namespace
@@ -1218,36 +1089,20 @@ int main(int argc, char** argv) {
     print_usage();
     return 2;
   }
-  const std::string command = argv[1];
+  const std::string name = argv[1];
   try {
     // Deterministic fault-injection schedule for crash-recovery testing;
     // no-op unless HADAS_CHAOS is set (see src/exec/chaos.hpp).
     exec::ChaosEngine::install_from_env();
-    if (command == "help" || command == "--help") {
+    if (name == "help" || name == "--help") {
       print_usage();
       return 0;
     }
-    const auto flags = command_flags().find(command);
-    if (flags == command_flags().end()) {
-      std::cerr << "unknown command '" << command << "'\n";
-      print_usage();
-      return 2;
-    }
-    const Args args(argc, argv, 2, "hadas " + command, flags->second);
-    if (command == "devices") return cmd_devices();
-    if (command == "device") return cmd_device(args);
-    if (command == "baselines") return cmd_baselines(args);
-    if (command == "search") return cmd_search(args);
-    if (command == "worker") return cmd_worker(args);
-    if (command == "show") return cmd_show(args);
-    if (command == "verify-checkpoint") return cmd_verify_checkpoint(args);
-    if (command == "deploy") return cmd_deploy(args);
-    if (command == "sensitivity") return cmd_sensitivity(args);
-    if (command == "serve") return cmd_serve(args);
-    if (command == "metrics-dump") return cmd_metrics_dump(args);
-    if (command == "portable") return cmd_portable(args);
-    if (command == "client") return cmd_client(args);
-    std::cerr << "unknown command '" << command << "'\n";
+    for (const Command& command : commands())
+      if (command.name == name)
+        return command.run(Args(argc, argv, 2, "hadas " + name, command));
+    std::cerr << "unknown command '" << name << "'\n";
+    print_usage();
     return 2;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";

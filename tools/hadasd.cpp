@@ -1,7 +1,5 @@
-// hadasd — the networked serving daemon.
-//
-//   hadasd --listen host:port [--state-dir DIR] [--once N] [stack flags]
-//   hadasd --loopback [--requests N] [--rate HZ] [--out F] [stack flags]
+// hadasd — the networked serving daemon. `hadasd help` prints its flags
+// (the command table at the bottom of this file).
 //
 // The daemon builds the same serve stack `hadas serve` would (same flags,
 // same deterministic report) and serves it to any number of concurrent
@@ -15,18 +13,16 @@
 
 #include <csignal>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <set>
 #include <string>
 
+#include "cli.hpp"
 #include "exec/chaos.hpp"
 #include "net/client.hpp"
 #include "net/fake_socket.hpp"
 #include "net/server.hpp"
 #include "net/socket.hpp"
 #include "runtime/serve/bridge.hpp"
-#include "serve_setup.hpp"
 
 using namespace hadas;
 using tools::Args;
@@ -39,40 +35,7 @@ void handle_signal(int) {
   if (g_daemon != nullptr) g_daemon->request_stop();
 }
 
-const std::set<std::string>& daemon_flags() {
-  static std::set<std::string> flags = [] {
-    std::set<std::string> set = tools::serve_stack_flags();
-    for (const char* extra :
-         {"listen", "state-dir", "once", "loopback", "flaky", "flaky-seed",
-          "requests", "rate", "trace-seed", "session", "out", "metrics-out",
-          "trace-out"})
-      set.insert(extra);
-    return set;
-  }();
-  return flags;
-}
-
-void print_usage() {
-  std::cout
-      << "usage: hadasd (--listen HOST:PORT | --loopback on) [options]\n\n"
-         "  --listen HOST:PORT     accept hadas client sessions over TCP\n"
-         "  --state-dir DIR        session journal directory (default .)\n"
-         "  --once N               exit after N completed sessions\n"
-         "  --loopback on          serve one in-process client over the\n"
-         "                         deterministic fake network instead of TCP\n"
-         "    [--requests N] [--rate HZ] [--trace-seed S] [--session ID]\n"
-         "    [--flaky N] [--flaky-seed S]  sever the first N connections\n"
-         "    [--out F]            save the loopback client's report\n"
-         "  serve stack flags (as for `hadas serve`):\n"
-         "    --device D, --baseline aN | --result F [--index I],\n"
-         "    --policy P, --threshold T, --queue CAP, --deadline-ms T,\n"
-         "    --watchdog FACTOR, --degraded on|off, --thermal on|off,\n"
-         "    --faults CFG, --failover D2, --train-size N, --epochs N,\n"
-         "    --space S, --stream-seed S, --threads N\n"
-         "  --metrics-out F, --trace-out F\n";
-}
-
-int run_loopback(const Args& args, const tools::ServeStack& stack,
+int run_loopback(const Args& args,
                  const runtime::serve::SupervisorBridge& bridge,
                  const std::string& state_dir) {
   auto network = std::make_shared<net::FakeNetwork>();
@@ -90,9 +53,7 @@ int run_loopback(const Args& args, const tools::ServeStack& stack,
   client_config.session_id = args.get_or("session", std::string("loopback"));
   client_config.state_path =
       state_dir + "/client-" + client_config.session_id + ".json";
-  client_config.traffic.requests = args.get_or("requests", std::size_t{1000});
-  client_config.traffic.arrival_rate_hz = args.get_or("rate", 100.0);
-  client_config.traffic.seed = args.get_or("trace-seed", std::size_t{0x5E21});
+  client_config.traffic = tools::traffic(args);
 
   net::FlakyConfig flaky;
   flaky.severs = args.get_or("flaky", std::size_t{0});
@@ -117,15 +78,86 @@ int run_loopback(const Args& args, const tools::ServeStack& stack,
   std::cout << "session complete (" << client.reconnects()
             << " reconnects, " << chaos.severed() << " severs)\n";
 
-  if (const auto out = args.get("out")) {
-    std::ofstream file(*out, std::ios::binary);
-    if (!file)
-      throw std::runtime_error("cannot open --out file '" + *out + "'");
-    file << client.report();
-    std::cout << "serve report -> " << *out << "\n";
-  }
-  (void)stack;
+  if (const auto out = args.get("out"))
+    tools::save_report(*out, client.report());
   return 0;
+}
+
+int run_daemon(const Args& args);
+
+/// hadasd's command table, one entry: `hadasd help`, flag validation and
+/// dispatch all read it.
+const tools::Command& daemon_command() {
+  static const tools::Command command = {
+      "hadasd", "(--listen HOST:PORT | --loopback on) [options]",
+      "serve the `hadas serve` stack to hadas client sessions",
+      tools::join(
+          {{{"listen", "HOST:PORT", "accept client sessions over TCP"},
+            {"state-dir", "DIR", "session journal directory (default .)"},
+            {"once", "N", "exit after N completed sessions"},
+            {"loopback", "on|off",
+             "serve one in-process client over the fake network instead"},
+            {"session", "ID", "loopback client's session id"},
+            {"flaky", "N", "sever the loopback's first N connections"},
+            {"flaky-seed", "S", "seed of those severs"},
+            {"out", "F", "write the loopback client's report"}},
+           tools::kTrafficFlags, tools::kServeStackFlags, tools::kObsFlags}),
+      run_daemon};
+  return command;
+}
+
+void print_usage() {
+  std::cout << "usage:\n";
+  tools::print_command(std::cout, daemon_command());
+}
+
+int run_daemon(const Args& args) {
+  const bool loopback = args.get_or("loopback", std::string("off")) != "off";
+  if (!loopback && !args.get("listen")) {
+    print_usage();
+    return 2;
+  }
+
+  // Validate the endpoint before the (expensive) stack build, so a
+  // malformed --listen fails in milliseconds with an error naming it.
+  std::optional<util::HostPort> listen;
+  if (!loopback) listen = args.get_hostport("listen");
+
+  const std::string state_dir = args.get_or("state-dir", std::string("."));
+  std::filesystem::create_directories(state_dir);
+
+  const tools::ObsOutputs obs_out = tools::obs_setup(args);
+  const tools::ServeStack stack(args);
+  const runtime::serve::SupervisorBridge bridge(
+      *stack.supervisor, *stack.design.placement, stack.ladder_view(),
+      *stack.stream, stack.fingerprint);
+
+  int rc = 0;
+  if (loopback) {
+    rc = run_loopback(args, bridge, state_dir);
+  } else {
+    net::DaemonConfig daemon_config;
+    daemon_config.listen = *listen;
+    daemon_config.state_dir = state_dir;
+    daemon_config.once = args.get_or("once", std::size_t{0});
+    net::TcpSocketHandler handler;
+    net::ServeDaemon daemon(handler, bridge, daemon_config);
+    daemon.start();
+    g_daemon = &daemon;
+    std::signal(SIGINT, handle_signal);
+    std::signal(SIGTERM, handle_signal);
+    // Flushed immediately: the banner is a readiness signal supervisors
+    // and tests wait on, and stdout is fully buffered when redirected.
+    std::cout << "hadasd listening on " << listen->host << ":" << listen->port
+              << " (state in " << state_dir << ")\n"
+              << "serving " << stack.fingerprint << std::endl;
+    daemon.run();
+    g_daemon = nullptr;
+    std::cout << "hadasd: " << daemon.sessions_completed()
+              << " sessions completed\n";
+  }
+  tools::obs_write(obs_out);
+  return rc;
 }
 
 }  // namespace
@@ -138,54 +170,8 @@ int main(int argc, char** argv) {
       print_usage();
       return 0;
     }
-    const Args args(argc, argv, 1, "hadasd", daemon_flags());
-    const bool loopback =
-        args.get_or("loopback", std::string("off")) != "off";
-    if (!loopback && !args.get("listen")) {
-      print_usage();
-      return 2;
-    }
-
-    // Validate the endpoint before the (expensive) stack build, so a
-    // malformed --listen fails in milliseconds with an error naming it.
-    std::optional<util::HostPort> listen;
-    if (!loopback) listen = args.get_hostport("listen");
-
-    const std::string state_dir = args.get_or("state-dir", std::string("."));
-    std::filesystem::create_directories(state_dir);
-
-    const tools::ObsOutputs obs_out = tools::obs_setup(args);
-    const tools::ServeStack stack(args);
-    const runtime::serve::SupervisorBridge bridge(
-        *stack.supervisor, *stack.placement, stack.ladder_view(),
-        *stack.stream, stack.fingerprint);
-
-    int rc = 0;
-    if (loopback) {
-      rc = run_loopback(args, stack, bridge, state_dir);
-    } else {
-      net::DaemonConfig daemon_config;
-      daemon_config.listen = *listen;
-      daemon_config.state_dir = state_dir;
-      daemon_config.once = args.get_or("once", std::size_t{0});
-      net::TcpSocketHandler handler;
-      net::ServeDaemon daemon(handler, bridge, daemon_config);
-      daemon.start();
-      g_daemon = &daemon;
-      std::signal(SIGINT, handle_signal);
-      std::signal(SIGTERM, handle_signal);
-      // Flushed immediately: the banner is a readiness signal supervisors
-      // and tests wait on, and stdout is fully buffered when redirected.
-      std::cout << "hadasd listening on " << listen->host << ":"
-                << listen->port << " (state in " << state_dir << ")\n"
-                << "serving " << stack.fingerprint << std::endl;
-      daemon.run();
-      g_daemon = nullptr;
-      std::cout << "hadasd: " << daemon.sessions_completed()
-                << " sessions completed\n";
-    }
-    tools::obs_write(obs_out);
-    return rc;
+    return daemon_command().run(
+        Args(argc, argv, 1, "hadasd", daemon_command()));
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
