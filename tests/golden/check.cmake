@@ -2,12 +2,13 @@
 # its outputs with a committed golden file.
 #
 #   cmake -DWORKDIR=<dir> -DACTUAL=<file> -DEXPECTED=<golden> [-DSTDOUT=1]
-#         -P check.cmake -- <program> <args...>
+#         [-DINPUT=<file>] -P check.cmake -- <program> <args...>
 #
 # WORKDIR is emptied first, so a command that resumes from its working files
-# (a --dist workdir, say) always starts cold. ACTUAL is relative to WORKDIR:
-# the file the command writes, or where its stdout is captured when STDOUT
-# is set.
+# (a --dist workdir, say) always starts cold. INPUT, when given, is copied
+# into WORKDIR, so a command that prints its input's path prints the same
+# relative name on every machine. ACTUAL is relative to WORKDIR: the file
+# the command writes, or where its stdout is captured when STDOUT is set.
 
 set(command)
 set(seen_separator FALSE)
@@ -25,6 +26,9 @@ endif()
 
 file(REMOVE_RECURSE "${WORKDIR}")
 file(MAKE_DIRECTORY "${WORKDIR}")
+if(INPUT)
+  file(COPY "${INPUT}" DESTINATION "${WORKDIR}")
+endif()
 if(STDOUT)
   execute_process(COMMAND ${command} WORKING_DIRECTORY "${WORKDIR}"
                   RESULT_VARIABLE rc OUTPUT_FILE "${WORKDIR}/${ACTUAL}")
