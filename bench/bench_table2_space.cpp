@@ -13,6 +13,20 @@
 
 using namespace hadas;
 
+namespace {
+
+/// `open` + `body` + `close`, built by appending: GCC 12 flags
+/// `"{" + std::string` with a false -Wrestrict.
+std::string enclose(const char* open, const std::string& body,
+                    const char* close) {
+  std::string out = open;
+  out += body;
+  out += close;
+  return out;
+}
+
+}  // namespace
+
 int main() {
   const auto space = supernet::SearchSpace::attentive_nas();
 
@@ -25,7 +39,7 @@ int main() {
   {
     std::vector<std::string> res;
     for (int r : space.resolutions) res.push_back(std::to_string(r));
-    b.add_row({"input resolution (res)", "{" + util::join(res, ",") + "}",
+    b.add_row({"input resolution (res)", enclose("{", util::join(res, ","), "}"),
                std::to_string(space.resolutions.size())});
   }
   for (std::size_t s = 0; s < supernet::kNumStages; ++s) {
@@ -33,7 +47,7 @@ int main() {
     auto fmt = [](const std::vector<int>& v) {
       std::vector<std::string> parts;
       for (int x : v) parts.push_back(std::to_string(x));
-      return "{" + util::join(parts, ",") + "}";
+      return enclose("{", util::join(parts, ","), "}");
     };
     b.add_row({st.name + " (w, d, k, er)",
                fmt(st.widths) + " x " + fmt(st.depths) + " x " + fmt(st.kernels) +
@@ -66,8 +80,11 @@ int main() {
   for (hw::Target target : hw::all_targets()) {
     const hw::DeviceSpec dev = hw::make_device(target);
     f.add_row({dev.name + " (core)",
-               "[" + util::fmt_fixed(dev.core_freqs_hz.front() / 1e9, 1) + "GHz, " +
-                   util::fmt_fixed(dev.core_freqs_hz.back() / 1e9, 1) + "GHz]",
+               enclose("[",
+                       util::fmt_fixed(dev.core_freqs_hz.front() / 1e9, 1) +
+                           "GHz, " +
+                           util::fmt_fixed(dev.core_freqs_hz.back() / 1e9, 1),
+                       "GHz]"),
                std::to_string(dev.core_freqs_hz.size())});
   }
   for (const char* platform : {"AGX", "TX2"}) {
@@ -75,8 +92,11 @@ int main() {
         platform == std::string("AGX") ? hw::Target::kAgxVoltaGpu
                                        : hw::Target::kTx2PascalGpu);
     f.add_row({std::string("EMC frequency (") + platform + " SOC)",
-               "[" + util::fmt_fixed(dev.emc_freqs_hz.front() / 1e9, 1) + "GHz, " +
-                   util::fmt_fixed(dev.emc_freqs_hz.back() / 1e9, 1) + "GHz]",
+               enclose("[",
+                       util::fmt_fixed(dev.emc_freqs_hz.front() / 1e9, 1) +
+                           "GHz, " +
+                           util::fmt_fixed(dev.emc_freqs_hz.back() / 1e9, 1),
+                       "GHz]"),
                std::to_string(dev.emc_freqs_hz.size())});
   }
   f.print(std::cout);

@@ -5,6 +5,9 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "util/durable/document.hpp"
+#include "util/strutil.hpp"
+
 namespace hadas::core {
 
 using hadas::util::Json;
@@ -153,36 +156,10 @@ std::vector<FinalSolution> final_pareto_from_json(const Json& json) {
   return solutions;
 }
 
-namespace {
-
-std::string hex_u64(std::uint64_t value) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(value));
-  return std::string(buf);
-}
-
-std::uint64_t u64_from_hex(const std::string& text) {
-  if (text.empty() || text.size() > 16)
-    throw std::invalid_argument("u64_from_hex: bad length '" + text + "'");
-  std::uint64_t value = 0;
-  for (char c : text) {
-    int digit;
-    if (c >= '0' && c <= '9') digit = c - '0';
-    else if (c >= 'a' && c <= 'f') digit = c - 'a' + 10;
-    else if (c >= 'A' && c <= 'F') digit = c - 'A' + 10;
-    else throw std::invalid_argument("u64_from_hex: bad digit in '" + text + "'");
-    value = (value << 4) | static_cast<std::uint64_t>(digit);
-  }
-  return value;
-}
-
-}  // namespace
-
 Json to_json(const hadas::util::Rng::State& state) {
   Json json;
   Json::Array words;
-  for (std::uint64_t w : state.words) words.push_back(Json(hex_u64(w)));
+  for (std::uint64_t w : state.words) words.push_back(Json(util::hex_u64(w)));
   json["words"] = Json(std::move(words));
   json["has_cached_normal"] = Json(state.has_cached_normal);
   json["cached_normal"] = Json(state.cached_normal);
@@ -195,7 +172,7 @@ hadas::util::Rng::State rng_state_from_json(const Json& json) {
   if (words.size() != state.words.size())
     throw std::invalid_argument("rng_state_from_json: wrong word count");
   for (std::size_t i = 0; i < words.size(); ++i)
-    state.words[i] = u64_from_hex(words[i].as_string());
+    state.words[i] = util::u64_from_hex(words[i].as_string());
   state.has_cached_normal = json.at("has_cached_normal").as_bool();
   state.cached_normal = json.at("cached_normal").as_number();
   return state;
@@ -250,19 +227,34 @@ BackboneOutcome backbone_outcome_from_json(const Json& json) {
   return outcome;
 }
 
+Json genomes_to_json(const std::vector<supernet::Genome>& genomes) {
+  Json::Array rows;
+  for (const supernet::Genome& genome : genomes) {
+    Json::Array genes;
+    for (std::int32_t g : genome) genes.push_back(Json(static_cast<int>(g)));
+    rows.push_back(Json(std::move(genes)));
+  }
+  return Json(std::move(rows));
+}
+
+std::vector<supernet::Genome> genomes_from_json(const Json& json) {
+  std::vector<supernet::Genome> genomes;
+  for (const Json& genes : json.as_array()) {
+    supernet::Genome genome;
+    for (const Json& g : genes.as_array())
+      genome.push_back(static_cast<std::int32_t>(g.as_int()));
+    genomes.push_back(std::move(genome));
+  }
+  return genomes;
+}
+
 Json checkpoint_to_json(const SearchCheckpoint& checkpoint) {
   Json json;
   json["format"] = Json("hadas-checkpoint-v1");
   json["fingerprint"] = Json(checkpoint.fingerprint);
   json["next_generation"] = Json(checkpoint.next_generation);
   json["rng"] = to_json(checkpoint.rng);
-  Json::Array population;
-  for (const supernet::Genome& genome : checkpoint.population) {
-    Json::Array genes;
-    for (std::int32_t g : genome) genes.push_back(Json(static_cast<int>(g)));
-    population.push_back(Json(std::move(genes)));
-  }
-  json["population"] = Json(std::move(population));
+  json["population"] = genomes_to_json(checkpoint.population);
   Json::Array backbones;
   for (const auto& outcome : checkpoint.backbones)
     backbones.push_back(to_json(outcome));
@@ -280,12 +272,7 @@ SearchCheckpoint checkpoint_from_json(const Json& json) {
   checkpoint.fingerprint = json.at("fingerprint").as_string();
   checkpoint.next_generation = json.at("next_generation").as_index();
   checkpoint.rng = rng_state_from_json(json.at("rng"));
-  for (const Json& genes : json.at("population").as_array()) {
-    supernet::Genome genome;
-    for (const Json& g : genes.as_array())
-      genome.push_back(static_cast<std::int32_t>(g.as_int()));
-    checkpoint.population.push_back(std::move(genome));
-  }
+  checkpoint.population = genomes_from_json(json.at("population"));
   for (const Json& outcome : json.at("backbones").as_array())
     checkpoint.backbones.push_back(backbone_outcome_from_json(outcome));
   checkpoint.outer_evaluations = json.at("outer_evaluations").as_index();
@@ -347,15 +334,9 @@ void validate_checkpoint(const SearchCheckpoint& checkpoint) {
 
 namespace {
 
-/// Parse + validate one checkpoint payload (raw JSON text). Throws
-/// CheckpointCorruptError (stage kParse or kInvariant) with no file name.
-SearchCheckpoint checkpoint_from_payload(const std::string& payload) {
-  SearchCheckpoint checkpoint;
-  try {
-    checkpoint = checkpoint_from_json(Json::parse(payload));
-  } catch (const std::exception& e) {
-    throw CheckpointCorruptError("", 0, CorruptStage::kParse, e.what());
-  }
+/// The checkpoint document decoder: parse, then the semantic invariants.
+SearchCheckpoint decode_checkpoint(const Json& json) {
+  SearchCheckpoint checkpoint = checkpoint_from_json(json);
   validate_checkpoint(checkpoint);
   return checkpoint;
 }
@@ -369,23 +350,9 @@ void save_checkpoint(const std::string& path,
 }
 
 SearchCheckpoint load_checkpoint(const std::string& path) {
-  std::string payload;
-  try {
-    payload = DurableFile::read(path, kCheckpointFormatTag);
-  } catch (const CheckpointCorruptError& e) {
-    // No envelope at all: a legacy (pre-durable) raw-JSON checkpoint.
-    if (e.stage() != CorruptStage::kHeader || e.byte_offset() != 0) throw;
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-      throw std::runtime_error("load_checkpoint: cannot open " + path);
-    payload.assign((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  }
-  try {
-    return checkpoint_from_payload(payload);
-  } catch (const CheckpointCorruptError& e) {
-    throw CheckpointCorruptError(path, e.byte_offset(), e.stage(), e.detail());
-  }
+  return util::durable::decode_payload(
+      DurableFile::read_or_legacy(path, kCheckpointFormatTag),
+      decode_checkpoint, path);
 }
 
 void save_checkpoint_chain(const CheckpointChain& chain,
@@ -402,7 +369,7 @@ std::optional<LoadedCheckpoint> load_checkpoint_chain(
       kCheckpointFormatTag,
       [&parsed](const std::string& payload) {
         parsed.reset();
-        parsed = checkpoint_from_payload(payload);
+        parsed = util::durable::decode_payload(payload, decode_checkpoint);
       },
       warn);
   if (!loaded) return std::nullopt;

@@ -53,6 +53,10 @@ InnerSolution inner_solution_from_json(const hadas::util::Json& json);
 hadas::util::Json to_json(const BackboneOutcome& outcome);
 BackboneOutcome backbone_outcome_from_json(const hadas::util::Json& json);
 
+/// A genome list (checkpoint population, migrant set): one gene array each.
+hadas::util::Json genomes_to_json(const std::vector<supernet::Genome>& genomes);
+std::vector<supernet::Genome> genomes_from_json(const hadas::util::Json& json);
+
 hadas::util::Json checkpoint_to_json(const SearchCheckpoint& checkpoint);
 SearchCheckpoint checkpoint_from_json(const hadas::util::Json& json);
 

@@ -14,6 +14,8 @@
 
 namespace hadas::dist {
 
+using util::durable::DurableFile;
+
 namespace {
 
 using Clock = std::chrono::steady_clock;
@@ -94,21 +96,11 @@ DistReport DistCoordinator::run() {
   // A workdir is one run: reject a spec that contradicts durable state left
   // by a previous invocation (an unreadable old spec is simply replaced —
   // the per-island engine fingerprints still protect the checkpoints).
-  const std::string spec_file = spec_path(workdir_);
-  bool spec_current = false;
-  if (std::filesystem::exists(spec_file)) {
-    try {
-      if (spec_to_json(load_spec(spec_file)).dump(0) !=
-          spec_to_json(spec_).dump(0))
-        throw std::invalid_argument(
-            "dist: workdir '" + workdir_ +
-            "' already holds a different spec — use a fresh workdir or rerun "
-            "with the original parameters");
-      spec_current = true;
-    } catch (const hadas::util::durable::CheckpointCorruptError&) {
-    }
-  }
-  if (!spec_current) save_spec(spec_file, spec_);
+  if (!ensure_spec_file(spec_path(workdir_), spec_))
+    throw std::invalid_argument(
+        "dist: workdir '" + workdir_ +
+        "' already holds a different spec — use a fresh workdir or rerun "
+        "with the original parameters");
 
   DistReport report;
   report.islands = spec_.islands;
@@ -147,7 +139,7 @@ DistReport DistCoordinator::run() {
   for (std::size_t island = 0; island < spec_.islands; ++island) {
     for (std::size_t round = 0; round + 1 < round_count(spec_); ++round) {
       const std::string path = migrants_path(workdir_, island, round);
-      if (!migrants_file_valid(path)) continue;
+      if (!DurableFile::holds(path, kMigrantsFormatTag)) continue;
       report.migrants_exchanged += load_migrants_file(path).genomes.size();
     }
   }

@@ -2,66 +2,23 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <stdexcept>
 
 #include "core/serialize.hpp"
 #include "hw/faults.hpp"
 #include "util/durable/checkpoint_chain.hpp"
-#include "util/durable/durable_file.hpp"
+#include "util/durable/document.hpp"
 #include "util/failpoint.hpp"
 #include "util/rng.hpp"
+#include "util/strutil.hpp"
 
 namespace hadas::dist {
 
 using hadas::util::Json;
-using hadas::util::durable::CheckpointCorruptError;
-using hadas::util::durable::CorruptStage;
 using hadas::util::durable::DurableFile;
 
 namespace {
-
-std::string hex_u64(std::uint64_t value) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(value));
-  return std::string(buf);
-}
-
-std::uint64_t u64_from_hex(const std::string& text) {
-  if (text.empty() || text.size() > 16)
-    throw std::invalid_argument("bad u64 hex '" + text + "'");
-  std::uint64_t value = 0;
-  for (char c : text) {
-    int digit;
-    if (c >= '0' && c <= '9') digit = c - '0';
-    else if (c >= 'a' && c <= 'f') digit = c - 'a' + 10;
-    else if (c >= 'A' && c <= 'F') digit = c - 'A' + 10;
-    else throw std::invalid_argument("bad u64 hex digit in '" + text + "'");
-    value = (value << 4) | static_cast<std::uint64_t>(digit);
-  }
-  return value;
-}
-
-Json genomes_to_json(const std::vector<supernet::Genome>& genomes) {
-  Json::Array rows;
-  for (const supernet::Genome& genome : genomes) {
-    Json::Array genes;
-    for (std::int32_t g : genome) genes.push_back(Json(static_cast<int>(g)));
-    rows.push_back(Json(std::move(genes)));
-  }
-  return Json(std::move(rows));
-}
-
-std::vector<supernet::Genome> genomes_from_json(const Json& json) {
-  std::vector<supernet::Genome> genomes;
-  for (const Json& genes : json.as_array()) {
-    supernet::Genome genome;
-    for (const Json& g : genes.as_array())
-      genome.push_back(static_cast<std::int32_t>(g.as_int()));
-    genomes.push_back(std::move(genome));
-  }
-  return genomes;
-}
 
 std::string numbered(const std::string& workdir, const char* stem,
                      std::size_t island, const char* suffix) {
@@ -108,7 +65,7 @@ Json spec_to_json(const DistSpec& spec) {
       Json(spec.ioe_backbones_per_generation);
   json["ioe_population"] = Json(spec.ioe_population);
   json["ioe_generations"] = Json(spec.ioe_generations);
-  json["seed_hex"] = Json(hex_u64(spec.seed));
+  json["seed_hex"] = Json(util::hex_u64(spec.seed));
   json["train_size"] = Json(spec.train_size);
   json["epochs"] = Json(spec.epochs);
   json["max_latency_s"] = Json(spec.max_latency_s);
@@ -137,7 +94,7 @@ DistSpec spec_from_json(const Json& json) {
       json.at("ioe_backbones_per_generation").as_index();
   spec.ioe_population = json.at("ioe_population").as_index();
   spec.ioe_generations = json.at("ioe_generations").as_index();
-  spec.seed = u64_from_hex(json.at("seed_hex").as_string());
+  spec.seed = util::u64_from_hex(json.at("seed_hex").as_string());
   spec.train_size = json.at("train_size").as_index();
   spec.epochs = json.at("epochs").as_index();
   spec.max_latency_s = json.at("max_latency_s").as_number();
@@ -159,19 +116,24 @@ void save_spec(const std::string& path, const DistSpec& spec) {
 }
 
 DistSpec load_spec(const std::string& path) {
-  const std::string payload = DurableFile::read(path, kDistSpecFormatTag);
-  DistSpec spec;
-  try {
-    spec = spec_from_json(Json::parse(payload));
-  } catch (const std::exception& e) {
-    throw CheckpointCorruptError(path, 0, CorruptStage::kParse, e.what());
+  return util::durable::load_document(
+      path, kDistSpecFormatTag, [](const Json& json) {
+        DistSpec spec = spec_from_json(json);
+        validate_spec(spec);
+        return spec;
+      });
+}
+
+bool ensure_spec_file(const std::string& path, const DistSpec& spec) {
+  if (std::filesystem::exists(path)) {
+    try {
+      return spec_to_json(load_spec(path)).dump(0) ==
+             spec_to_json(spec).dump(0);
+    } catch (const util::durable::CheckpointCorruptError&) {
+    }
   }
-  try {
-    validate_spec(spec);
-  } catch (const std::exception& e) {
-    throw CheckpointCorruptError(path, 0, CorruptStage::kInvariant, e.what());
-  }
-  return spec;
+  save_spec(path, spec);
+  return true;
 }
 
 std::string spec_path(const std::string& workdir) {
@@ -281,29 +243,21 @@ void write_migrants_file(const std::string& path, const MigrantSet& migrants,
   Json json;
   json["island"] = Json(migrants.island);
   json["round"] = Json(migrants.round);
-  json["genomes"] = genomes_to_json(migrants.genomes);
+  json["genomes"] = core::genomes_to_json(migrants.genomes);
   DurableFile::write(path, kMigrantsFormatTag, json.dump(2) + "\n");
   if (failpoints_on)
     hadas::util::failpoint_file("dist.migrate.write", path.c_str());
 }
 
 MigrantSet load_migrants_file(const std::string& path) {
-  const std::string payload = DurableFile::read(path, kMigrantsFormatTag);
-  try {
-    const Json json = Json::parse(payload);
-    MigrantSet migrants;
-    migrants.island = json.at("island").as_index();
-    migrants.round = json.at("round").as_index();
-    migrants.genomes = genomes_from_json(json.at("genomes"));
-    return migrants;
-  } catch (const std::exception& e) {
-    throw CheckpointCorruptError(path, 0, CorruptStage::kParse, e.what());
-  }
-}
-
-bool migrants_file_valid(const std::string& path) {
-  const auto info = DurableFile::inspect(path);
-  return info.exists && info.valid() && info.format_tag == kMigrantsFormatTag;
+  return util::durable::load_document(
+      path, kMigrantsFormatTag, [](const Json& json) {
+        MigrantSet migrants;
+        migrants.island = json.at("island").as_index();
+        migrants.round = json.at("round").as_index();
+        migrants.genomes = core::genomes_from_json(json.at("genomes"));
+        return migrants;
+      });
 }
 
 bool ensure_migrants_file(const supernet::SearchSpace& space,
@@ -311,7 +265,7 @@ bool ensure_migrants_file(const supernet::SearchSpace& space,
                           std::size_t island, std::size_t round,
                           bool failpoints_on) {
   const std::string path = migrants_path(workdir, island, round);
-  if (migrants_file_valid(path)) return true;
+  if (DurableFile::holds(path, kMigrantsFormatTag)) return true;
   // Find the chain slot holding the end-of-round boundary. The newest slot
   // holds it in the normal (crash-before-write) case; older slots cover a
   // cross-process repair after the owner already advanced.
@@ -339,7 +293,7 @@ bool ensure_migrants_file(const supernet::SearchSpace& space,
 void write_island_final(const DistSpec& spec, const std::string& workdir,
                         std::size_t island, bool failpoints_on) {
   const std::string path = final_path(workdir, island);
-  if (island_final_valid(path)) return;
+  if (DurableFile::holds(path, kIslandResultFormatTag)) return;
   const hadas::util::durable::CheckpointChain chain(
       chain_path(workdir, island), std::max<std::size_t>(1, spec.checkpoint_keep));
   const auto loaded = core::load_checkpoint_chain(chain);
@@ -362,22 +316,13 @@ void write_island_final(const DistSpec& spec, const std::string& workdir,
 }
 
 Json load_island_result(const std::string& path) {
-  const std::string payload = DurableFile::read(path, kIslandResultFormatTag);
-  try {
-    Json json = Json::parse(payload);
-    (void)core::final_pareto_from_json(json);  // shape check
-    (void)json.at("island").as_index();
-    (void)json.at("next_generation").as_index();
-    return json;
-  } catch (const std::exception& e) {
-    throw CheckpointCorruptError(path, 0, CorruptStage::kParse, e.what());
-  }
-}
-
-bool island_final_valid(const std::string& path) {
-  const auto info = DurableFile::inspect(path);
-  return info.exists && info.valid() &&
-         info.format_tag == kIslandResultFormatTag;
+  return util::durable::load_document(
+      path, kIslandResultFormatTag, [](const Json& json) {
+        (void)core::final_pareto_from_json(json);  // shape check
+        (void)json.at("island").as_index();
+        (void)json.at("next_generation").as_index();
+        return json;
+      });
 }
 
 Json merge_islands(const DistSpec& spec, const std::string& workdir) {

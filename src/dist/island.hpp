@@ -57,6 +57,10 @@ DistSpec spec_from_json(const util::Json& json);
 /// `hadas verify-checkpoint` can triage spec files like checkpoints.
 void save_spec(const std::string& path, const DistSpec& spec);
 DistSpec load_spec(const std::string& path);
+/// save_spec unless `path` already holds `spec`; an unreadable file is
+/// replaced. False, writing nothing, when it holds a different spec: the
+/// directory belongs to another run.
+bool ensure_spec_file(const std::string& path, const DistSpec& spec);
 
 /// --- Workdir layout. Every path of the distributed run lives under one
 /// directory so a run is resumed (or post-mortemed) from the workdir alone.
@@ -125,9 +129,6 @@ void write_migrants_file(const std::string& path, const MigrantSet& migrants,
 /// Throws CheckpointCorruptError on a corrupt envelope or payload.
 MigrantSet load_migrants_file(const std::string& path);
 
-/// True when the migrant file exists and passes envelope validation.
-bool migrants_file_valid(const std::string& path);
-
 /// Regenerate (or verify) the migrant file island `island` emits after
 /// `round`: a no-op when a valid file already exists, otherwise the island's
 /// chain is searched for the round-boundary checkpoint and the file
@@ -148,8 +149,6 @@ void write_island_final(const DistSpec& spec, const std::string& workdir,
                         std::size_t island, bool failpoints_on = true);
 /// Parsed + validated island result payload. Throws CheckpointCorruptError.
 util::Json load_island_result(const std::string& path);
-/// True when the final file exists and passes envelope validation.
-bool island_final_valid(const std::string& path);
 
 /// --- Merge. Union of the island fronts, re-filtered through a Pareto
 /// archive in island order; evaluation counters are summed. The result JSON

@@ -23,6 +23,8 @@ extern char** environ;
 
 namespace hadas::dist {
 
+using util::durable::DurableFile;
+
 namespace {
 
 const net::BackedWriter& empty_writer() {
@@ -169,7 +171,7 @@ bool ChunkRun::accept(const DistChunk& chunk, const std::string& dir) {
   const std::string path = result
                                ? final_path(dir, chunk.island)
                                : migrants_path(dir, chunk.island, chunk.round);
-  const bool wrote = util::durable::DurableFile::write_idempotent(
+  const bool wrote = DurableFile::write_idempotent(
       path, result ? kIslandResultFormatTag : kMigrantsFormatTag, text);
   std::string problem;
   try {
@@ -248,7 +250,8 @@ void NetTransport::start() {
   done_.assign(spec_.islands, false);
   const auto now = Clock::now();
   for (std::size_t i = 0; i < spec_.islands; ++i) {
-    done_[i] = island_final_valid(final_path(workdir_, i));
+    done_[i] =
+        DurableFile::holds(final_path(workdir_, i), kIslandResultFormatTag);
     sessions_[i].last_activity = now;
   }
   if (spawning()) {
@@ -510,9 +513,8 @@ bool NetTransport::push_migrants(Conn& conn) {
   for (std::size_t round = 0; round + 1 < round_count(spec_); ++round) {
     if (session.pushed.count(round) != 0) continue;
     const std::string path = migrants_path(workdir_, sender, round);
-    if (!migrants_file_valid(path)) continue;
-    const std::string text =
-        util::durable::DurableFile::read(path, kMigrantsFormatTag);
+    if (!DurableFile::holds(path, kMigrantsFormatTag)) continue;
+    const std::string text = DurableFile::read(path, kMigrantsFormatTag);
     append_blob(session.writer, net::FrameType::kDistMigrants, sender, round,
                 text);
     session.pushed.insert(round);

@@ -15,6 +15,8 @@
 
 namespace hadas::dist {
 
+using util::durable::DurableFile;
+
 namespace {
 
 bool cancelled(const std::atomic<bool>* cancel) {
@@ -49,7 +51,8 @@ struct IslandProgress {
 IslandProgress inspect_island(const DistSpec& spec, const std::string& workdir,
                               std::size_t island) {
   IslandProgress progress;
-  if (island_final_valid(final_path(workdir, island))) {
+  if (DurableFile::holds(final_path(workdir, island),
+                         kIslandResultFormatTag)) {
     progress.final_written = true;
     progress.next_round = round_count(spec);
     return progress;
@@ -174,7 +177,6 @@ NetWorker::NetWorker(net::SocketHandler* handler, NetWorkerConfig config)
             "NetWorker: state dir '" + config_.state_dir +
             "' holds a spec that does not match its session journal — it "
             "mixes two runs; use a fresh state dir");
-      validate_spec(spec);
       space_ = spec.search_space();
       spec_ = std::move(spec);
     } catch (const util::durable::CheckpointCorruptError&) {
@@ -236,20 +238,10 @@ void NetWorker::adopt_spec(const std::string& spec_json) {
         std::to_string(spec.islands) + " islands)");
   // Persist the spec so a respawn (and step_island) sees the
   // exact topology the coordinator runs; reject a state dir from another run.
-  const std::string spec_file = spec_path(config_.state_dir);
-  bool current = false;
-  if (std::filesystem::exists(spec_file)) {
-    try {
-      if (spec_to_json(load_spec(spec_file)).dump(0) !=
-          spec_to_json(spec).dump(0))
-        throw net::ProtocolError(
-            "NetWorker: state dir '" + config_.state_dir +
-            "' already holds a different spec — use a fresh state dir");
-      current = true;
-    } catch (const util::durable::CheckpointCorruptError&) {
-    }
-  }
-  if (!current) save_spec(spec_file, spec);
+  if (!ensure_spec_file(spec_path(config_.state_dir), spec))
+    throw net::ProtocolError(
+        "NetWorker: state dir '" + config_.state_dir +
+        "' already holds a different spec — use a fresh state dir");
   space_ = spec.search_space();
   spec_ = std::move(spec);
 }
@@ -384,7 +376,7 @@ bool NetWorker::work_step() {
     case IslandStep::kFinished:
       if (final_sent_) break;
       append_blob(writer_, net::FrameType::kDistFinal, config_.island, 0,
-                  util::durable::DurableFile::read(
+                  DurableFile::read(
                       final_path(config_.state_dir, config_.island),
                       kIslandResultFormatTag));
       final_sent_ = true;
@@ -405,10 +397,9 @@ bool NetWorker::work_step() {
       if (sent_.count(round) != 0) continue;
       const std::string path =
           migrants_path(config_.state_dir, config_.island, round);
-      if (!migrants_file_valid(path)) continue;
+      if (!DurableFile::holds(path, kMigrantsFormatTag)) continue;
       append_blob(writer_, net::FrameType::kDistMigrants, config_.island,
-                  round,
-                  util::durable::DurableFile::read(path, kMigrantsFormatTag));
+                  round, DurableFile::read(path, kMigrantsFormatTag));
       sent_.insert(round);
       dist_net_metrics().migrant_sets_sent.inc();
       queued = true;

@@ -7,7 +7,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/durable/durable_file.hpp"
+#include "util/durable/document.hpp"
 #include "util/failpoint.hpp"
 #include "util/rng.hpp"
 #include "util/strutil.hpp"
@@ -71,65 +71,6 @@ BreakerState breaker_state_from_name(const std::string& name) {
   if (name == "half-open") return BreakerState::kHalfOpen;
   if (name == "open") return BreakerState::kOpen;
   throw std::invalid_argument("unknown breaker state '" + name + "'");
-}
-
-util::Json health_report_to_json(const HealthReport& report) {
-  util::Json json;
-  json["state"] = breaker_state_name(report.state);
-  json["dropped_out"] = report.dropped_out;
-  json["measurements"] = util::Json(static_cast<double>(report.measurements));
-  json["attempts"] = util::Json(static_cast<double>(report.attempts));
-  json["retries"] = util::Json(static_cast<double>(report.retries));
-  json["transient_failures"] =
-      util::Json(static_cast<double>(report.transient_failures));
-  json["quarantined"] = util::Json(static_cast<double>(report.quarantined));
-  json["outliers_rejected"] =
-      util::Json(static_cast<double>(report.outliers_rejected));
-  json["failed_measurements"] =
-      util::Json(static_cast<double>(report.failed_measurements));
-  json["breaker_trips"] = util::Json(static_cast<double>(report.breaker_trips));
-  json["backoff_s"] = report.backoff_s;
-  json["sim_time_s"] = report.sim_time_s;
-  return json;
-}
-
-HealthReport health_report_from_json(const util::Json& json) {
-  HealthReport report;
-  report.state = breaker_state_from_name(json.at("state").as_string());
-  report.dropped_out = json.at("dropped_out").as_bool();
-  report.measurements = static_cast<std::uint64_t>(json.at("measurements").as_number());
-  report.attempts = static_cast<std::uint64_t>(json.at("attempts").as_number());
-  report.retries = static_cast<std::uint64_t>(json.at("retries").as_number());
-  report.transient_failures =
-      static_cast<std::uint64_t>(json.at("transient_failures").as_number());
-  report.quarantined = static_cast<std::uint64_t>(json.at("quarantined").as_number());
-  report.outliers_rejected =
-      static_cast<std::uint64_t>(json.at("outliers_rejected").as_number());
-  report.failed_measurements =
-      static_cast<std::uint64_t>(json.at("failed_measurements").as_number());
-  report.breaker_trips =
-      static_cast<std::uint64_t>(json.at("breaker_trips").as_number());
-  report.backoff_s = json.at("backoff_s").as_number();
-  report.sim_time_s = json.at("sim_time_s").as_number();
-  return report;
-}
-
-util::Json health_state_to_json(const DeviceHealth::State& state) {
-  util::Json json;
-  json["report"] = health_report_to_json(state.report);
-  json["consecutive_failures"] = util::Json(state.consecutive_failures);
-  json["half_open_successes"] = util::Json(state.half_open_successes);
-  json["open_until_s"] = state.open_until_s;
-  return json;
-}
-
-DeviceHealth::State health_state_from_json(const util::Json& json) {
-  DeviceHealth::State state;
-  state.report = health_report_from_json(json.at("report"));
-  state.consecutive_failures = json.at("consecutive_failures").as_index();
-  state.half_open_successes = json.at("half_open_successes").as_index();
-  state.open_until_s = json.at("open_until_s").as_number();
-  return state;
 }
 
 std::size_t group_of(hw::Target target) {
@@ -562,7 +503,9 @@ util::Json FleetRegistry::to_json() const {
     device["resets"] = util::Json(static_cast<double>(record.resets));
     device["thermal_trips"] = util::Json(static_cast<double>(record.thermal_trips));
     device["temperature_c"] = record.temperature_c;
-    device["health"] = health_state_to_json(record.health->snapshot());
+    const DeviceHealth::State health = record.health->snapshot();
+    device["health"] =
+        health_to_json(health, breaker_state_name(health.report.state));
     devices.push_back(std::move(device));
   }
   json["devices"] = std::move(devices);
@@ -636,7 +579,10 @@ FleetRegistry FleetRegistry::from_json(const util::Json& json) {
         static_cast<std::uint64_t>(device.at("thermal_trips").as_number());
     record.temperature_c = device.at("temperature_c").as_number();
     record.health = std::make_unique<DeviceHealth>(config.breaker);
-    record.health->restore(health_state_from_json(device.at("health")));
+    DeviceHealth::State health = health_from_json(device.at("health"));
+    health.report.state = breaker_state_from_name(
+        device.at("health").at("report").at("state").as_string());
+    record.health->restore(health);
     if (!registry.records_.empty() &&
         !(registry.records_.back().bdf < record.bdf))
       throw std::invalid_argument(
@@ -656,27 +602,7 @@ void FleetRegistry::save(const std::string& path) const {
 }
 
 FleetRegistry FleetRegistry::load(const std::string& path) {
-  const std::string payload =
-      util::durable::DurableFile::read(path, kFleetFormatTag);
-  util::Json json;
-  try {
-    json = util::Json::parse(payload);
-  } catch (const std::invalid_argument& error) {
-    throw util::durable::CheckpointCorruptError(
-        path, 0, util::durable::CorruptStage::kParse, error.what());
-  }
-  try {
-    return from_json(json);
-  } catch (const std::invalid_argument& error) {
-    throw util::durable::CheckpointCorruptError(
-        path, 0, util::durable::CorruptStage::kInvariant, error.what());
-  } catch (const std::out_of_range& error) {
-    throw util::durable::CheckpointCorruptError(
-        path, 0, util::durable::CorruptStage::kInvariant, error.what());
-  } catch (const std::logic_error& error) {
-    throw util::durable::CheckpointCorruptError(
-        path, 0, util::durable::CorruptStage::kInvariant, error.what());
-  }
+  return util::durable::load_document(path, kFleetFormatTag, from_json);
 }
 
 }  // namespace hadas::hw::fleet

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/failpoint.hpp"
 #include "util/rng.hpp"
@@ -233,6 +234,51 @@ HwMeasurement RobustEvaluator::measure(
   health_.count_outliers(rejected);
   health_.record_success();
   return m;
+}
+
+namespace {
+
+constexpr std::pair<const char*, std::uint64_t HealthReport::*> kCounters[] = {
+    {"measurements", &HealthReport::measurements},
+    {"attempts", &HealthReport::attempts},
+    {"retries", &HealthReport::retries},
+    {"transient_failures", &HealthReport::transient_failures},
+    {"quarantined", &HealthReport::quarantined},
+    {"outliers_rejected", &HealthReport::outliers_rejected},
+    {"failed_measurements", &HealthReport::failed_measurements},
+    {"breaker_trips", &HealthReport::breaker_trips}};
+
+}  // namespace
+
+util::Json health_to_json(const DeviceHealth::State& health,
+                          util::Json breaker_state) {
+  util::Json report;
+  report["state"] = std::move(breaker_state);
+  report["dropped_out"] = health.report.dropped_out;
+  for (const auto& [name, field] : kCounters)
+    report[name] = util::Json(static_cast<double>(health.report.*field));
+  report["backoff_s"] = health.report.backoff_s;
+  report["sim_time_s"] = health.report.sim_time_s;
+  util::Json json;
+  json["report"] = std::move(report);
+  json["consecutive_failures"] = util::Json(health.consecutive_failures);
+  json["half_open_successes"] = util::Json(health.half_open_successes);
+  json["open_until_s"] = health.open_until_s;
+  return json;
+}
+
+DeviceHealth::State health_from_json(const util::Json& json) {
+  DeviceHealth::State health;
+  const util::Json& report = json.at("report");
+  health.report.dropped_out = report.at("dropped_out").as_bool();
+  for (const auto& [name, field] : kCounters)
+    health.report.*field = report.at(name).as_index();
+  health.report.backoff_s = report.at("backoff_s").as_number();
+  health.report.sim_time_s = report.at("sim_time_s").as_number();
+  health.consecutive_failures = json.at("consecutive_failures").as_index();
+  health.half_open_successes = json.at("half_open_successes").as_index();
+  health.open_until_s = json.at("open_until_s").as_number();
+  return health;
 }
 
 }  // namespace hadas::hw

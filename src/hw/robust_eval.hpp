@@ -8,6 +8,7 @@
 
 #include "hw/evaluator.hpp"
 #include "hw/faults.hpp"
+#include "util/json.hpp"
 
 namespace hadas::hw {
 
@@ -111,6 +112,15 @@ class DeviceHealth {
   std::size_t half_open_successes_ = 0;
   double open_until_s_ = 0.0;
 };
+
+/// A breaker snapshot as the durable formats store it (fleet checkpoint,
+/// serve journal): the report's fields and the breaker's. `breaker_state`
+/// is report.state's JSON, which each format encodes its own way; the
+/// decoder leaves report.state for the caller to read from ["report"]
+/// ["state"].
+util::Json health_to_json(const DeviceHealth::State& health,
+                          util::Json breaker_state);
+DeviceHealth::State health_from_json(const util::Json& json);
 
 /// Everything the robust measurement path needs.
 struct RobustConfig {

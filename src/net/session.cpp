@@ -2,7 +2,7 @@
 
 #include <filesystem>
 
-#include "util/durable/durable_file.hpp"
+#include "util/durable/document.hpp"
 #include "util/strutil.hpp"
 
 namespace hadas::net {
@@ -51,9 +51,8 @@ void save_session_state(const std::string& path, const SessionState& state,
 std::optional<SessionState> load_session_state(const std::string& path,
                                                const char* format_tag) {
   if (!std::filesystem::exists(path)) return std::nullopt;
-  const std::string payload =
-      util::durable::DurableFile::read(path, format_tag);
-  return session_state_from_json(util::Json::parse(payload));
+  return util::durable::load_document(path, format_tag,
+                                      session_state_from_json);
 }
 
 bool valid_session_id(const std::string& id) {

@@ -1,52 +1,16 @@
 #include "runtime/serve/journal.hpp"
 
 #include <cmath>
+#include <utility>
+
+#include "util/durable/document.hpp"
 
 namespace hadas::runtime::serve {
 
 using hadas::util::Json;
 using hadas::util::durable::CheckpointChain;
-using hadas::util::durable::CheckpointCorruptError;
-using hadas::util::durable::CorruptStage;
 
 namespace {
-
-Json to_json(const hw::HealthReport& report) {
-  Json json;
-  json["state"] = Json(static_cast<int>(report.state));
-  json["dropped_out"] = Json(report.dropped_out);
-  json["measurements"] = Json(report.measurements);
-  json["attempts"] = Json(report.attempts);
-  json["retries"] = Json(report.retries);
-  json["transient_failures"] = Json(report.transient_failures);
-  json["quarantined"] = Json(report.quarantined);
-  json["outliers_rejected"] = Json(report.outliers_rejected);
-  json["failed_measurements"] = Json(report.failed_measurements);
-  json["breaker_trips"] = Json(report.breaker_trips);
-  json["backoff_s"] = Json(report.backoff_s);
-  json["sim_time_s"] = Json(report.sim_time_s);
-  return json;
-}
-
-hw::HealthReport health_report_from_json(const Json& json) {
-  hw::HealthReport report;
-  const int state = static_cast<int>(json.at("state").as_int());
-  if (state < 0 || state > 2)
-    throw std::invalid_argument("journal: breaker state out of range");
-  report.state = static_cast<hw::BreakerState>(state);
-  report.dropped_out = json.at("dropped_out").as_bool();
-  report.measurements = json.at("measurements").as_index();
-  report.attempts = json.at("attempts").as_index();
-  report.retries = json.at("retries").as_index();
-  report.transient_failures = json.at("transient_failures").as_index();
-  report.quarantined = json.at("quarantined").as_index();
-  report.outliers_rejected = json.at("outliers_rejected").as_index();
-  report.failed_measurements = json.at("failed_measurements").as_index();
-  report.breaker_trips = json.at("breaker_trips").as_index();
-  report.backoff_s = json.at("backoff_s").as_number();
-  report.sim_time_s = json.at("sim_time_s").as_number();
-  return report;
-}
 
 Json to_json(const LaneSnapshot& lane) {
   Json json;
@@ -55,12 +19,8 @@ Json to_json(const LaneSnapshot& lane) {
   json["clock_s"] = Json(lane.clock_s);
   json["last_event_s"] = Json(lane.last_event_s);
   json["peak_temperature_c"] = Json(lane.peak_temperature_c);
-  Json health;
-  health["report"] = to_json(lane.health.report);
-  health["consecutive_failures"] = Json(lane.health.consecutive_failures);
-  health["half_open_successes"] = Json(lane.health.half_open_successes);
-  health["open_until_s"] = Json(lane.health.open_until_s);
-  json["health"] = std::move(health);
+  json["health"] = hw::health_to_json(
+      lane.health, Json(static_cast<int>(lane.health.report.state)));
   Json thermal;
   thermal["temperature_c"] = Json(lane.thermal.temperature_c);
   thermal["throttled"] = Json(lane.thermal.throttled);
@@ -80,13 +40,12 @@ LaneSnapshot lane_from_json(const Json& json) {
   lane.clock_s = json.at("clock_s").as_number();
   lane.last_event_s = json.at("last_event_s").as_number();
   lane.peak_temperature_c = json.at("peak_temperature_c").as_number();
-  const Json& health = json.at("health");
-  lane.health.report = health_report_from_json(health.at("report"));
-  lane.health.consecutive_failures =
-      health.at("consecutive_failures").as_index();
-  lane.health.half_open_successes =
-      health.at("half_open_successes").as_index();
-  lane.health.open_until_s = health.at("open_until_s").as_number();
+  lane.health = hw::health_from_json(json.at("health"));
+  const int state =
+      static_cast<int>(json.at("health").at("report").at("state").as_int());
+  if (state < 0 || state > 2)
+    throw std::invalid_argument("journal: breaker state out of range");
+  lane.health.report.state = static_cast<hw::BreakerState>(state);
   const Json& thermal = json.at("thermal");
   lane.thermal.temperature_c = thermal.at("temperature_c").as_number();
   lane.thermal.throttled = thermal.at("throttled").as_bool();
@@ -97,29 +56,46 @@ LaneSnapshot lane_from_json(const Json& json) {
   return lane;
 }
 
+/// The snapshot's counters and accumulated doubles, each stored under its
+/// own name.
+constexpr std::pair<const char*, std::size_t ServeJournalSnapshot::*>
+    kCounters[] = {
+        {"next_index", &ServeJournalSnapshot::next_index},
+        {"offered", &ServeJournalSnapshot::offered},
+        {"admitted", &ServeJournalSnapshot::admitted},
+        {"shed", &ServeJournalSnapshot::shed},
+        {"shed_no_device", &ServeJournalSnapshot::shed_no_device},
+        {"max_queue_depth", &ServeJournalSnapshot::max_queue_depth},
+        {"watchdog_fallbacks", &ServeJournalSnapshot::watchdog_fallbacks},
+        {"transient_faults", &ServeJournalSnapshot::transient_faults},
+        {"nan_faults", &ServeJournalSnapshot::nan_faults},
+        {"overruns", &ServeJournalSnapshot::overruns},
+        {"failovers", &ServeJournalSnapshot::failovers},
+        {"devices_lost", &ServeJournalSnapshot::devices_lost},
+        {"degraded_entries", &ServeJournalSnapshot::degraded_entries},
+        {"critical_entries", &ServeJournalSnapshot::critical_entries},
+        {"requests_degraded", &ServeJournalSnapshot::requests_degraded},
+        {"deployment_samples", &ServeJournalSnapshot::deployment_samples},
+        {"correct", &ServeJournalSnapshot::correct},
+        {"dwell", &ServeJournalSnapshot::dwell}};
+constexpr std::pair<const char*, double ServeJournalSnapshot::*>
+    kAccumulators[] = {
+        {"makespan_s", &ServeJournalSnapshot::makespan_s},
+        {"energy_sum_j", &ServeJournalSnapshot::energy_sum_j},
+        {"latency_sum_s", &ServeJournalSnapshot::latency_sum_s},
+        {"incident_ema", &ServeJournalSnapshot::incident_ema},
+        {"busy_until_s", &ServeJournalSnapshot::busy_until_s}};
+
 }  // namespace
 
 Json to_json(const ServeJournalSnapshot& snapshot) {
   Json json;
   json["format"] = Json(std::string(kServeJournalFormatTag));
   json["fingerprint"] = Json(snapshot.fingerprint);
-  json["next_index"] = Json(snapshot.next_index);
-  json["offered"] = Json(snapshot.offered);
-  json["admitted"] = Json(snapshot.admitted);
-  json["shed"] = Json(snapshot.shed);
-  json["shed_no_device"] = Json(snapshot.shed_no_device);
-  json["max_queue_depth"] = Json(snapshot.max_queue_depth);
-  json["watchdog_fallbacks"] = Json(snapshot.watchdog_fallbacks);
-  json["transient_faults"] = Json(snapshot.transient_faults);
-  json["nan_faults"] = Json(snapshot.nan_faults);
-  json["overruns"] = Json(snapshot.overruns);
-  json["failovers"] = Json(snapshot.failovers);
-  json["devices_lost"] = Json(snapshot.devices_lost);
-  json["degraded_entries"] = Json(snapshot.degraded_entries);
-  json["critical_entries"] = Json(snapshot.critical_entries);
-  json["requests_degraded"] = Json(snapshot.requests_degraded);
-  json["makespan_s"] = Json(snapshot.makespan_s);
-  json["deployment_samples"] = Json(snapshot.deployment_samples);
+  for (const auto& [name, field] : kCounters)
+    json[name] = Json(snapshot.*field);
+  for (const auto& [name, field] : kAccumulators)
+    json[name] = Json(snapshot.*field);
   Json::Array histogram;
   for (const auto& [layer, count] : snapshot.exit_histogram) {
     Json bin;
@@ -128,9 +104,6 @@ Json to_json(const ServeJournalSnapshot& snapshot) {
     histogram.push_back(std::move(bin));
   }
   json["exit_histogram"] = Json(std::move(histogram));
-  json["correct"] = Json(snapshot.correct);
-  json["energy_sum_j"] = Json(snapshot.energy_sum_j);
-  json["latency_sum_s"] = Json(snapshot.latency_sum_s);
   Json slo;
   Json::Array latencies;
   for (double v : snapshot.slo.latencies) latencies.push_back(Json(v));
@@ -139,12 +112,9 @@ Json to_json(const ServeJournalSnapshot& snapshot) {
   slo["misses"] = Json(snapshot.slo.misses);
   json["slo"] = std::move(slo);
   json["mode"] = Json(snapshot.mode);
-  json["incident_ema"] = Json(snapshot.incident_ema);
-  json["dwell"] = Json(snapshot.dwell);
   Json::Array outstanding;
   for (double v : snapshot.outstanding) outstanding.push_back(Json(v));
   json["outstanding"] = Json(std::move(outstanding));
-  json["busy_until_s"] = Json(snapshot.busy_until_s);
   Json::Array lanes;
   for (const LaneSnapshot& lane : snapshot.lanes)
     lanes.push_back(to_json(lane));
@@ -158,29 +128,16 @@ ServeJournalSnapshot journal_snapshot_from_json(const Json& json) {
     throw std::invalid_argument("journal_snapshot_from_json: unknown format");
   ServeJournalSnapshot snapshot;
   snapshot.fingerprint = json.at("fingerprint").as_string();
-  snapshot.next_index = json.at("next_index").as_index();
-  snapshot.offered = json.at("offered").as_index();
-  snapshot.admitted = json.at("admitted").as_index();
-  snapshot.shed = json.at("shed").as_index();
-  snapshot.shed_no_device = json.at("shed_no_device").as_index();
-  snapshot.max_queue_depth = json.at("max_queue_depth").as_index();
-  snapshot.watchdog_fallbacks = json.at("watchdog_fallbacks").as_index();
-  snapshot.transient_faults = json.at("transient_faults").as_index();
-  snapshot.nan_faults = json.at("nan_faults").as_index();
-  snapshot.overruns = json.at("overruns").as_index();
-  snapshot.failovers = json.at("failovers").as_index();
-  snapshot.devices_lost = json.at("devices_lost").as_index();
-  snapshot.degraded_entries = json.at("degraded_entries").as_index();
-  snapshot.critical_entries = json.at("critical_entries").as_index();
-  snapshot.requests_degraded = json.at("requests_degraded").as_index();
-  snapshot.makespan_s = json.at("makespan_s").as_number();
-  snapshot.deployment_samples = json.at("deployment_samples").as_index();
+  for (const auto& [name, field] : kCounters)
+    snapshot.*field = json.at(name).as_index();
+  for (const auto& [name, field] : kAccumulators) {
+    snapshot.*field = json.at(name).as_number();
+    if (!std::isfinite(snapshot.*field))
+      throw std::invalid_argument("journal accumulator is not finite");
+  }
   for (const Json& bin : json.at("exit_histogram").as_array())
     snapshot.exit_histogram[bin.at("layer").as_index()] =
         bin.at("count").as_index();
-  snapshot.correct = json.at("correct").as_index();
-  snapshot.energy_sum_j = json.at("energy_sum_j").as_number();
-  snapshot.latency_sum_s = json.at("latency_sum_s").as_number();
   const Json& slo = json.at("slo");
   for (const Json& v : slo.at("latencies").as_array())
     snapshot.slo.latencies.push_back(v.as_number());
@@ -189,20 +146,10 @@ ServeJournalSnapshot journal_snapshot_from_json(const Json& json) {
   snapshot.mode = static_cast<int>(json.at("mode").as_int());
   if (snapshot.mode < 0 || snapshot.mode > 2)
     throw std::invalid_argument("journal: serve mode out of range");
-  snapshot.incident_ema = json.at("incident_ema").as_number();
-  snapshot.dwell = json.at("dwell").as_index();
   for (const Json& v : json.at("outstanding").as_array())
     snapshot.outstanding.push_back(v.as_number());
-  snapshot.busy_until_s = json.at("busy_until_s").as_number();
   for (const Json& lane : json.at("lanes").as_array())
     snapshot.lanes.push_back(lane_from_json(lane));
-  // Invariants: every accumulated double must still be finite.
-  for (double v :
-       {snapshot.makespan_s, snapshot.energy_sum_j, snapshot.latency_sum_s,
-        snapshot.incident_ema, snapshot.busy_until_s})
-    if (!std::isfinite(v))
-      throw CheckpointCorruptError("", 0, CorruptStage::kInvariant,
-                                   "journal accumulator is not finite");
   return snapshot;
 }
 
@@ -219,13 +166,8 @@ std::optional<LoadedJournal> load_journal(
       kServeJournalFormatTag,
       [&parsed](const std::string& payload) {
         parsed.reset();
-        try {
-          parsed = journal_snapshot_from_json(Json::parse(payload));
-        } catch (const CheckpointCorruptError&) {
-          throw;
-        } catch (const std::exception& e) {
-          throw CheckpointCorruptError("", 0, CorruptStage::kParse, e.what());
-        }
+        parsed = util::durable::decode_payload(payload,
+                                               journal_snapshot_from_json);
       },
       warn);
   if (!loaded) return std::nullopt;

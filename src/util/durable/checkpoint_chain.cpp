@@ -4,6 +4,7 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "util/durable/document.hpp"
 #include "util/failpoint.hpp"
 
 namespace hadas::util::durable {
@@ -11,13 +12,6 @@ namespace hadas::util::durable {
 namespace {
 bool file_exists(const std::string& path) {
   return std::ifstream(path).good();
-}
-
-std::string read_raw(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("CheckpointChain: cannot open " + path);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
 }
 }  // namespace
 
@@ -71,39 +65,18 @@ std::optional<CheckpointChain::Loaded> CheckpointChain::load_newest_valid(
     if (!file_exists(path)) continue;  // a gap, not corruption
     any_exists = true;
     try {
-      std::string payload;
-      try {
-        payload = DurableFile::read(path, format_tag);
-      } catch (const CheckpointCorruptError& e) {
-        // A file with no envelope at all may be a legacy (pre-durable)
-        // snapshot: hand the raw bytes to the payload validator, which
-        // rejects actual garbage.
-        if (e.stage() != CorruptStage::kHeader || e.byte_offset() != 0)
-          throw;
-        payload = read_raw(path);
-      }
+      std::string payload = DurableFile::read_or_legacy(path, format_tag);
       if (validate) validate(payload);
       count_durable(&DurableStats::chain_fallbacks, skipped);
       return Loaded{std::move(payload), path, skipped};
-    } catch (const CheckpointCorruptError& e) {
-      // A payload validator does not know the file name; fill it in.
-      const CheckpointCorruptError err =
-          e.file().empty() ? CheckpointCorruptError(path, e.byte_offset(),
-                                                    e.stage(), e.detail())
-                           : e;
+    } catch (const std::exception&) {
+      // A validator does not know the file name and may throw raw errors:
+      // normalize both so the all-corrupt case is still structured.
+      const CheckpointCorruptError err = current_as_corrupt(path);
       if (!first_error) first_error = err;
       ++skipped;
       if (warn)
         warn("skipping corrupt checkpoint " + path + ": " + err.what());
-    } catch (const std::exception& e) {
-      // A validator may throw raw parse errors; normalize them so the
-      // all-corrupt case still surfaces as a structured error.
-      const CheckpointCorruptError wrapped(path, 0, CorruptStage::kParse,
-                                           e.what());
-      if (!first_error) first_error = wrapped;
-      ++skipped;
-      if (warn)
-        warn("skipping corrupt checkpoint " + path + ": " + wrapped.what());
     }
   }
   if (!any_exists) return std::nullopt;

@@ -44,9 +44,10 @@ class CheckpointChain {
   /// The newest entry whose envelope is valid and whose payload `validate`
   /// accepts (validate may be empty; it signals rejection by throwing).
   /// Returns nullopt when no slot exists at all; throws the *newest* slot's
-  /// CheckpointCorruptError when every existing slot is invalid. A payload
-  /// with no durable envelope is passed through to `validate` as-is
-  /// (legacy pre-durable snapshot support).
+  /// CheckpointCorruptError when every existing slot is invalid. A slot
+  /// with no durable envelope is passed to `validate` raw (legacy
+  /// pre-durable snapshots, DurableFile::read_or_legacy); an exception
+  /// from `validate` is a corruption by util::durable's document rule.
   std::optional<Loaded> load_newest_valid(
       const std::string& format_tag,
       const std::function<void(const std::string& payload)>& validate = {},

@@ -10,8 +10,10 @@
 #include <fstream>
 #include <mutex>
 #include <sstream>
+#include <string_view>
 
 #include "util/failpoint.hpp"
+#include "util/strutil.hpp"
 
 namespace hadas::util::durable {
 
@@ -42,15 +44,14 @@ void count_durable(std::uint64_t DurableStats::* counter, std::uint64_t n) {
 namespace {
 
 constexpr const char* kMagic = "%HADAS-DURABLE";
+/// The envelope's first bytes, up to the version number.
+constexpr std::string_view kMagicPrefix = "%HADAS-DURABLE v";
 constexpr const char* kFooterMagic = "%HADAS-CRC64";
+/// What follows the payload, up to the 16 CRC digits.
+constexpr std::string_view kFooterPrefix = "\n%HADAS-CRC64 ";
+/// The whole footer: prefix, 16 hex digits, newline.
+constexpr std::size_t kFooterBytes = kFooterPrefix.size() + 16 + 1;
 constexpr std::uint32_t kVersion = 1;
-
-std::string hex16(std::uint64_t value) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(value));
-  return std::string(buf);
-}
 
 /// CRC-64/XZ table, built lazily (reflected ECMA-182 polynomial).
 const std::uint64_t* crc64_table() {
@@ -94,6 +95,54 @@ void fsync_path(const std::string& path, bool directory) {
   }
   (void)::fsync(fd);
   ::close(fd);
+}
+
+/// The whole file; throws std::runtime_error when it cannot be opened.
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("DurableFile: cannot open " + path);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// An envelope parsed as far as its bytes allow: the inspect() view, where
+/// the header line ends, and the payload once its declared length is there.
+struct Envelope {
+  FileInfo info;
+  std::size_t header_end = std::string::npos;
+  std::string payload;
+};
+
+Envelope parse_envelope(const std::string& bytes) {
+  Envelope envelope;
+  FileInfo& info = envelope.info;
+  info.exists = true;
+  info.file_bytes = bytes.size();
+  info.legacy = bytes.rfind(kMagicPrefix, 0) != 0;
+  if (info.legacy) return envelope;
+  envelope.header_end = bytes.find('\n');
+  if (envelope.header_end == std::string::npos) return envelope;
+  std::istringstream header(bytes.substr(
+      kMagicPrefix.size(), envelope.header_end - kMagicPrefix.size()));
+  std::uint32_t version = 0;
+  std::string tag;
+  std::size_t declared = 0;
+  if (!(header >> version >> tag >> declared)) return envelope;
+  info.version = version;
+  info.format_tag = tag;
+  info.declared_bytes = declared;
+  info.header_ok = version == kVersion;
+
+  const std::size_t footer_begin = envelope.header_end + 1 + declared;
+  info.length_ok = bytes.size() >= footer_begin + kFooterBytes;
+  if (!info.length_ok) return envelope;
+  envelope.payload = bytes.substr(envelope.header_end + 1, declared);
+  info.crc_actual = hex_u64(crc64(envelope.payload));
+  if (bytes.compare(footer_begin, kFooterPrefix.size(), kFooterPrefix) == 0)
+    info.crc_declared = bytes.substr(footer_begin + kFooterPrefix.size(), 16);
+  info.checksum_ok = !info.crc_declared.empty() &&
+                     info.crc_declared == info.crc_actual;
+  return envelope;
 }
 
 std::string parent_dir(const std::string& path) {
@@ -147,7 +196,7 @@ void DurableFile::write(const std::string& path, const std::string& format_tag,
   envelope << kMagic << " v" << kVersion << ' ' << format_tag << ' '
            << payload.size() << '\n'
            << payload << '\n'
-           << kFooterMagic << ' ' << hex16(crc64(payload)) << '\n';
+           << kFooterMagic << ' ' << hex_u64(crc64(payload)) << '\n';
   const std::string bytes = envelope.str();
 
   failpoint("durable.save.begin");
@@ -201,108 +250,68 @@ std::string DurableFile::read(const std::string& path,
   }
 }
 
+std::string DurableFile::read_or_legacy(const std::string& path,
+                                        const std::string& format_tag) {
+  try {
+    return read(path, format_tag);
+  } catch (const CheckpointCorruptError& e) {
+    if (e.stage() != CorruptStage::kHeader || e.byte_offset() != 0) throw;
+    return slurp(path);
+  }
+}
+
 std::string DurableFile::read_validated(const std::string& path,
                                         const std::string& format_tag) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in)
-    throw std::runtime_error("DurableFile: cannot open " + path);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
+  Envelope envelope = parse_envelope(slurp(path));
+  const FileInfo& info = envelope.info;
+  const auto corrupt = [&path](std::size_t offset, CorruptStage stage,
+                               const std::string& detail) {
+    return CheckpointCorruptError(path, offset, stage, detail);
+  };
+  if (info.legacy)
+    throw corrupt(0, CorruptStage::kHeader,
+                  "missing durable-file magic (legacy or foreign file?)");
+  if (envelope.header_end == std::string::npos)
+    throw corrupt(info.file_bytes, CorruptStage::kHeader,
+                  "unterminated header line");
+  if (info.format_tag.empty())
+    throw corrupt(kMagicPrefix.size(), CorruptStage::kHeader,
+                  "malformed header fields");
+  if (!info.header_ok)
+    throw corrupt(kMagicPrefix.size(), CorruptStage::kHeader,
+                  "unsupported version v" + std::to_string(info.version));
+  if (info.format_tag != format_tag)
+    throw corrupt(kMagicPrefix.size(), CorruptStage::kHeader,
+                  "format tag '" + info.format_tag + "' (expected '" +
+                      format_tag + "')");
+  const std::size_t payload_begin = envelope.header_end + 1;
+  const std::size_t footer_begin = payload_begin + info.declared_bytes;
+  if (!info.length_ok)
+    throw corrupt(info.file_bytes, CorruptStage::kTruncation,
+                  "file holds " + std::to_string(info.file_bytes) +
+                      " bytes but header declares a " +
+                      std::to_string(info.declared_bytes) +
+                      "-byte payload (expected >= " +
+                      std::to_string(footer_begin + kFooterBytes) + ")");
+  if (info.crc_declared.empty())
+    throw corrupt(footer_begin, CorruptStage::kTruncation,
+                  "footer line missing or malformed");
+  if (!info.checksum_ok)
+    throw corrupt(payload_begin, CorruptStage::kChecksum,
+                  "payload CRC64 " + info.crc_actual + " != declared " +
+                      info.crc_declared);
+  return std::move(envelope.payload);
+}
 
-  const std::string magic = std::string(kMagic) + " v";
-  if (bytes.rfind(magic, 0) != 0)
-    throw CheckpointCorruptError(path, 0, CorruptStage::kHeader,
-                                 "missing durable-file magic (legacy or "
-                                 "foreign file?)");
-  const std::size_t header_end = bytes.find('\n');
-  if (header_end == std::string::npos)
-    throw CheckpointCorruptError(path, bytes.size(), CorruptStage::kHeader,
-                                 "unterminated header line");
-  std::istringstream header(
-      bytes.substr(magic.size(), header_end - magic.size()));
-  std::uint32_t version = 0;
-  std::string tag;
-  std::size_t declared = 0;
-  if (!(header >> version >> tag >> declared))
-    throw CheckpointCorruptError(path, magic.size(), CorruptStage::kHeader,
-                                 "malformed header fields");
-  if (version != kVersion)
-    throw CheckpointCorruptError(path, magic.size(), CorruptStage::kHeader,
-                                 "unsupported version v" +
-                                     std::to_string(version));
-  if (tag != format_tag)
-    throw CheckpointCorruptError(
-        path, magic.size(), CorruptStage::kHeader,
-        "format tag '" + tag + "' (expected '" + format_tag + "')");
-
-  const std::size_t payload_begin = header_end + 1;
-  // payload + "\n%HADAS-CRC64 " + 16 hex + "\n"
-  const std::size_t footer_len = 1 + std::strlen(kFooterMagic) + 1 + 16 + 1;
-  if (bytes.size() < payload_begin + declared + footer_len)
-    throw CheckpointCorruptError(
-        path, bytes.size(), CorruptStage::kTruncation,
-        "file holds " + std::to_string(bytes.size()) + " bytes but header " +
-            "declares a " + std::to_string(declared) + "-byte payload " +
-            "(expected >= " +
-            std::to_string(payload_begin + declared + footer_len) + ")");
-  const std::string payload = bytes.substr(payload_begin, declared);
-
-  const std::string footer = bytes.substr(payload_begin + declared);
-  const std::string expected_prefix = "\n" + std::string(kFooterMagic) + " ";
-  if (footer.rfind(expected_prefix, 0) != 0)
-    throw CheckpointCorruptError(path, payload_begin + declared,
-                                 CorruptStage::kTruncation,
-                                 "footer line missing or malformed");
-  const std::string declared_crc =
-      footer.substr(expected_prefix.size(), 16);
-  const std::string actual_crc = hex16(crc64(payload));
-  if (declared_crc != actual_crc)
-    throw CheckpointCorruptError(
-        path, payload_begin, CorruptStage::kChecksum,
-        "payload CRC64 " + actual_crc + " != declared " + declared_crc);
-  return payload;
+bool DurableFile::holds(const std::string& path,
+                        const std::string& format_tag) {
+  const FileInfo info = inspect(path);
+  return info.valid() && info.format_tag == format_tag;
 }
 
 FileInfo DurableFile::inspect(const std::string& path) {
-  FileInfo info;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return info;
-  info.exists = true;
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  info.file_bytes = bytes.size();
-
-  const std::string magic = std::string(kMagic) + " v";
-  if (bytes.rfind(magic, 0) != 0) {
-    info.legacy = true;
-    return info;
-  }
-  const std::size_t header_end = bytes.find('\n');
-  if (header_end == std::string::npos) return info;
-  std::istringstream header(
-      bytes.substr(magic.size(), header_end - magic.size()));
-  std::uint32_t version = 0;
-  std::string tag;
-  std::size_t declared = 0;
-  if (!(header >> version >> tag >> declared)) return info;
-  info.version = version;
-  info.format_tag = tag;
-  info.declared_bytes = declared;
-  info.header_ok = version == kVersion;
-
-  const std::size_t payload_begin = header_end + 1;
-  const std::size_t footer_len = 1 + std::strlen(kFooterMagic) + 1 + 16 + 1;
-  info.length_ok = bytes.size() >= payload_begin + declared + footer_len;
-  if (!info.length_ok) return info;
-  const std::string payload = bytes.substr(payload_begin, declared);
-  info.crc_actual = hex16(crc64(payload));
-  const std::string footer = bytes.substr(payload_begin + declared);
-  const std::string expected_prefix = "\n" + std::string(kFooterMagic) + " ";
-  if (footer.rfind(expected_prefix, 0) == 0)
-    info.crc_declared = footer.substr(expected_prefix.size(), 16);
-  info.checksum_ok = !info.crc_declared.empty() &&
-                     info.crc_declared == info.crc_actual;
-  return info;
+  if (!std::ifstream(path).good()) return FileInfo{};
+  return parse_envelope(slurp(path)).info;
 }
 
 }  // namespace hadas::util::durable

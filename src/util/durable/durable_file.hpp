@@ -109,6 +109,11 @@ class DurableFile {
   static std::string read(const std::string& path,
                           const std::string& format_tag);
 
+  /// read(), except that a file with no envelope at all is returned raw:
+  /// a legacy (pre-durable) file, left for the caller's decoder to judge.
+  static std::string read_or_legacy(const std::string& path,
+                                    const std::string& format_tag);
+
   /// write(), unless `path` already holds a valid envelope with this exact
   /// tag and payload — then the disk is left untouched. Returns true when a
   /// write happened. This is what makes replayed deliveries (a resumed
@@ -122,6 +127,9 @@ class DurableFile {
   /// Envelope inspection; never throws on corrupt content (only on I/O
   /// errors opening an existing file).
   static FileInfo inspect(const std::string& path);
+
+  /// True when `path` holds a valid envelope tagged `format_tag`.
+  static bool holds(const std::string& path, const std::string& format_tag);
 
  private:
   /// read() without the stats accounting.

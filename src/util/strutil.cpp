@@ -98,21 +98,40 @@ std::string to_hex(const std::string& bytes) {
   return out;
 }
 
+namespace {
+int nibble(char c) {
+  if (c >= '0' && c <= '9') return c - '0';
+  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+  throw std::invalid_argument(std::string("hex: non-hex character '") + c +
+                              "'");
+}
+}  // namespace
+
 std::string from_hex(const std::string& hex) {
   if (hex.size() % 2 != 0)
     throw std::invalid_argument("from_hex: odd-length input");
-  auto nibble = [](char c) -> int {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-    throw std::invalid_argument(std::string("from_hex: non-hex character '") +
-                                c + "'");
-  };
   std::string out;
   out.reserve(hex.size() / 2);
   for (std::size_t i = 0; i < hex.size(); i += 2)
     out.push_back(static_cast<char>((nibble(hex[i]) << 4) | nibble(hex[i + 1])));
   return out;
+}
+
+std::string hex_u64(std::uint64_t value) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(value));
+  return buf;
+}
+
+std::uint64_t u64_from_hex(const std::string& text) {
+  if (text.empty() || text.size() > 16)
+    throw std::invalid_argument("u64_from_hex: bad length '" + text + "'");
+  std::uint64_t value = 0;
+  for (char c : text)
+    value = (value << 4) | static_cast<std::uint64_t>(nibble(c));
+  return value;
 }
 
 std::string fmt_fixed(double v, int precision) {

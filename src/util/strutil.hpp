@@ -49,6 +49,14 @@ std::string to_hex(const std::string& bytes);
 /// non-hex characters.
 std::string from_hex(const std::string& hex);
 
+/// The 16 lower-case hex digits of `value`, as durable formats store a
+/// 64-bit word that a JSON double cannot hold.
+std::string hex_u64(std::uint64_t value);
+
+/// Inverse of hex_u64: 1 to 16 hex digits of either case. Throws
+/// std::invalid_argument otherwise.
+std::uint64_t u64_from_hex(const std::string& text);
+
 /// Fixed-precision decimal formatting, e.g. fmt_fixed(3.14159, 2) == "3.14".
 std::string fmt_fixed(double v, int precision);
 

@@ -2,13 +2,14 @@
 # its outputs with a committed golden file.
 #
 #   cmake -DWORKDIR=<dir> -DACTUAL=<file> -DEXPECTED=<golden> [-DSTDOUT=1]
-#         [-DINPUT=<file>] -P check.cmake -- <program> <args...>
+#         [-DINPUT=<file>] [-DEXIT_CODE=<n>] -P check.cmake -- <program> <args...>
 #
 # WORKDIR is emptied first, so a command that resumes from its working files
 # (a --dist workdir, say) always starts cold. INPUT, when given, is copied
 # into WORKDIR, so a command that prints its input's path prints the same
 # relative name on every machine. ACTUAL is relative to WORKDIR: the file
 # the command writes, or where its stdout is captured when STDOUT is set.
+# The command must exit with EXIT_CODE (default 0).
 
 set(command)
 set(seen_separator FALSE)
@@ -36,8 +37,11 @@ else()
   execute_process(COMMAND ${command} WORKING_DIRECTORY "${WORKDIR}"
                   RESULT_VARIABLE rc)
 endif()
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "command exited with ${rc}: ${command}")
+if(NOT EXIT_CODE)
+  set(EXIT_CODE 0)
+endif()
+if(NOT rc EQUAL EXIT_CODE)
+  message(FATAL_ERROR "command exited with ${rc}, not ${EXIT_CODE}: ${command}")
 endif()
 
 execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files

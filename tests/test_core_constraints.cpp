@@ -35,8 +35,9 @@ TEST(LatencyConstraint, IoeBudgetNotSpentOnInfeasible) {
   core::HadasEngine engine(space(), hw::Target::kTx2PascalGpu, config);
   const core::HadasResult result = engine.run();
   for (const auto& outcome : result.backbones) {
-    if (outcome.ioe_ran)
+    if (outcome.ioe_ran) {
       EXPECT_LE(outcome.static_eval.latency_s, config.max_latency_s);
+    }
   }
 }
 

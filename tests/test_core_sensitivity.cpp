@@ -42,7 +42,9 @@ TEST(Sensitivity, A6CanOnlySaveByShrinking) {
   double biggest = 0.0;
   std::string biggest_name;
   for (const auto& gene : report) {
-    if (gene.cardinality > 1) EXPECT_GT(gene.max_energy_saving_j, 0.0) << gene.name;
+    if (gene.cardinality > 1) {
+      EXPECT_GT(gene.max_energy_saving_j, 0.0) << gene.name;
+    }
     if (gene.max_energy_saving_j > biggest) {
       biggest = gene.max_energy_saving_j;
       biggest_name = gene.name;

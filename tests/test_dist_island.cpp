@@ -21,6 +21,7 @@
 namespace {
 
 using namespace hadas;
+using util::durable::DurableFile;
 
 dist::DistSpec tiny_spec() {
   dist::DistSpec spec;
@@ -167,7 +168,7 @@ TEST(DistIsland, MigrantFileRoundTripAndValidation) {
   migrants.round = 1;
   migrants.genomes = {{1, 2, 3, 0, 4}, {0, 0, 1, 2, 3}};
   dist::write_migrants_file(path, migrants);
-  EXPECT_TRUE(dist::migrants_file_valid(path));
+  EXPECT_TRUE(DurableFile::holds(path, dist::kMigrantsFormatTag));
   const dist::MigrantSet back = dist::load_migrants_file(path);
   EXPECT_EQ(back.island, migrants.island);
   EXPECT_EQ(back.round, migrants.round);
@@ -178,7 +179,7 @@ TEST(DistIsland, MigrantFileRoundTripAndValidation) {
   file.seekp(64);
   file.put('X');
   file.close();
-  EXPECT_FALSE(dist::migrants_file_valid(path));
+  EXPECT_FALSE(DurableFile::holds(path, dist::kMigrantsFormatTag));
   EXPECT_THROW(dist::load_migrants_file(path),
                util::durable::CheckpointCorruptError);
 }
@@ -247,7 +248,7 @@ TEST(DistInline, MigrantFilesRegenerateByteIdentically) {
   // A migrant file is a pure function of the sender's boundary checkpoint:
   // delete it and any process can rewrite the identical bytes from the chain.
   std::remove(path.c_str());
-  EXPECT_FALSE(dist::migrants_file_valid(path));
+  EXPECT_FALSE(DurableFile::holds(path, dist::kMigrantsFormatTag));
   ASSERT_TRUE(dist::ensure_migrants_file(space, spec, dir, 0, 0));
   std::ifstream again(path, std::ios::binary);
   const std::string regenerated((std::istreambuf_iterator<char>(again)),

@@ -52,7 +52,7 @@ TEST(Crc64, MatchesTheXzCheckVector) {
 
 TEST(DurableFile, RoundTripsArbitraryPayloads) {
   const std::string path = temp_path("roundtrip");
-  for (const std::string payload :
+  for (const std::string& payload :
        {std::string(""), std::string("{\"x\": 1}\n"),
         std::string("line1\nline2\n\n%HADAS-DURABLE v1 sneaky 3\n"),
         std::string("\x00\x01\xff\x7f binary", 11)}) {

@@ -75,6 +75,15 @@ void validate_payload(const std::string& payload) {
     throw std::runtime_error("payload is torn or foreign");
 }
 
+/// "t<trial><kind>", the file label of one trial (built by appending: GCC 12
+/// flags `"t" + std::string` with a false -Wrestrict).
+std::string trial_label(std::size_t trial, const char* kind) {
+  std::string label = "t";
+  label += std::to_string(trial);
+  label += kind;
+  return label;
+}
+
 /// One trial: arm `rule` in a forked child, save kSaves payloads, count the
 /// completed saves, then recover and validate. `tear` trials may lose the
 /// save in flight to storage-level truncation *after* the rename; on the
@@ -84,10 +93,10 @@ void run_trial(const std::string& rule, const std::string& label,
                bool tear = false) {
   static const hadas::test::ScratchDir scratch("durable_property");
   const std::string base = scratch.file(label + ".json");
+  const hadas::util::durable::CheckpointChain every_slot(base, kKeep + 1);
   for (std::size_t slot = 0; slot < kKeep + 1; ++slot) {
-    const std::string suffix = slot == 0 ? "" : "." + std::to_string(slot);
-    std::remove((base + suffix).c_str());
-    std::remove((base + suffix + ".tmp").c_str());
+    std::remove(every_slot.slot_path(slot).c_str());
+    std::remove((every_slot.slot_path(slot) + ".tmp").c_str());
   }
 
   int pipe_fds[2] = {-1, -1};
@@ -184,7 +193,7 @@ int main() {
       const std::string rule =
           "crash:" + site + ":" + std::to_string(hit);
       std::cout << "trial " << trial << ": " << rule << "\n";
-      run_trial(rule, "t" + std::to_string(trial++) + "_crash");
+      run_trial(rule, trial_label(trial++, "_crash"));
     }
   }
 
@@ -197,7 +206,7 @@ int main() {
       const std::string rule = "tear:" + site + ":" + std::to_string(hit) +
                                ";seed:" + std::to_string(seed % 1000);
       std::cout << "trial " << trial << ": " << rule << "\n";
-      run_trial(rule, "t" + std::to_string(trial++) + "_tear", true);
+      run_trial(rule, trial_label(trial++, "_tear"), true);
     }
   }
 

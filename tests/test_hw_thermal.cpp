@@ -62,8 +62,9 @@ TEST(Thermal, ThrottleHysteresis) {
   // Cooling: stays throttled inside the hysteresis band...
   while (model.temperature_c() > config.resume_temp_c + 1.0) {
     model.step(0.0, 1.0);
-    if (model.temperature_c() > config.resume_temp_c)
+    if (model.temperature_c() > config.resume_temp_c) {
       EXPECT_TRUE(model.throttled());
+    }
   }
   // ...and resumes below it.
   while (model.temperature_c() > config.resume_temp_c) model.step(0.0, 0.5);

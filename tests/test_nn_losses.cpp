@@ -210,7 +210,9 @@ TEST(Losses, RowPredictionsMatchSeparatePassesBitForBit) {
     expect_same_bits(rows.entropy, reference_entropy(logits));
     expect_same_bits(rows.max_prob, reference_max_prob(logits));
     EXPECT_TRUE(rows.correct[2]);
-    if (cols > 1) EXPECT_FALSE(rows.correct[0]);
+    if (cols > 1) {
+      EXPECT_FALSE(rows.correct[0]);
+    }
     EXPECT_EQ(std::bit_cast<std::uint64_t>(accuracy(rows.correct)),
               std::bit_cast<std::uint64_t>(accuracy(logits, labels)));
 

@@ -474,7 +474,9 @@ TEST(Serve, TrafficTraceIsDeterministicAndOrdered) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].arrival_s, b[i].arrival_s);
     EXPECT_EQ(a[i].sample, b[i].sample);
-    if (i > 0) EXPECT_GE(a[i].arrival_s, a[i - 1].arrival_s);
+    if (i > 0) {
+      EXPECT_GE(a[i].arrival_s, a[i - 1].arrival_s);
+    }
   }
   traffic.seed ^= 1;
   const auto c = runtime::serve::poisson_trace(fx().stream, traffic);

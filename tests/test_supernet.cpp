@@ -85,8 +85,11 @@ TEST(Backbone, HashDistinguishesGenomes) {
 TEST(Backbone, DescribeMentionsEveryStage) {
   const std::string desc = baseline_a0().describe();
   EXPECT_NE(desc.find("r192"), std::string::npos);
-  for (int b = 1; b <= 7; ++b)
-    EXPECT_NE(desc.find("b" + std::to_string(b) + "["), std::string::npos);
+  for (int b = 1; b <= 7; ++b) {
+    std::string stage = "b";  // appended: `"b" + std::string` trips -Wrestrict
+    stage += std::to_string(b) + "[";
+    EXPECT_NE(desc.find(stage), std::string::npos);
+  }
 }
 
 TEST(Backbone, TotalLayersSumsDepths) {

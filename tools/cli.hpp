@@ -250,6 +250,27 @@ inline Fleet provision_fleet(const Args& args) {
   return {hw::fleet::FleetRegistry(std::move(config)), false};
 }
 
+/// "<count> <lifecycle>" for each lifecycle state the fleet has a device in.
+inline std::string state_tally(const hw::fleet::FleetRegistry& fleet) {
+  std::string tally;
+  for (const auto& [state, count] : fleet.tally())
+    tally += (tally.empty() ? "" : ", ") + std::to_string(count) + " " +
+             hw::fleet::lifecycle_name(state);
+  return tally;
+}
+
+/// --stream-seed: seed of the 2000-sample evaluation stream a deployed
+/// design replays (default 5). The fingerprint of a serve stack names it.
+inline std::size_t stream_seed(const Args& args) {
+  return args.get_or("stream-seed", std::size_t{5});
+}
+
+/// That evaluation stream over `task`'s test split.
+inline data::SampleStream sample_stream(const Args& args,
+                                        const data::SyntheticTask& task) {
+  return data::SampleStream(task, 2000, stream_seed(args));
+}
+
 /// The request trace a serving front end replays.
 inline runtime::serve::TrafficConfig traffic(const Args& args) {
   runtime::serve::TrafficConfig config;
@@ -373,7 +394,7 @@ class ServeStack {
         args.get_or("threads", serve_config.exec.threads);
 
     stream = std::make_unique<data::SampleStream>(
-        engine->task(), 2000, args.get_or("stream-seed", std::size_t{5}));
+        sample_stream(args, engine->task()));
     supervisor = std::make_unique<runtime::serve::ServeSupervisor>(
         *bank, lanes, serve_config);
 
@@ -397,7 +418,7 @@ class ServeStack {
         "|failover=" + args.get_or("failover", std::string()) + ":" +
         args.get_or("failover-faults", std::string()) +
         "|stream=" + std::to_string(stream->size()) + ":" +
-        std::to_string(args.get_or("stream-seed", std::size_t{5})) +
+        std::to_string(stream_seed(args)) +
         "|threads=" + std::to_string(serve_config.exec.threads);
   }
 

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "cli.hpp"
+#include "durable_formats.hpp"
 #include "core/multi_device.hpp"
 #include "core/sensitivity.hpp"
 #include "core/serialize.hpp"
@@ -20,11 +21,9 @@
 #include "dist/worker.hpp"
 #include "exec/chaos.hpp"
 #include "net/client.hpp"
-#include "net/session.hpp"
 #include "hw/fleet/registry.hpp"
 #include "net/socket.hpp"
 #include "runtime/serve/fleet_failover.hpp"
-#include "runtime/serve/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/deployment.hpp"
@@ -75,15 +74,6 @@ int cmd_devices(const Args&) {
   }
   table.print(std::cout);
   return 0;
-}
-
-/// "<count> <lifecycle>" for each lifecycle state the fleet has a device in.
-std::string state_tally(const hw::fleet::FleetRegistry& fleet) {
-  std::string tally;
-  for (const auto& [state, count] : fleet.tally())
-    tally += (tally.empty() ? "" : ", ") + std::to_string(count) + " " +
-             hw::fleet::lifecycle_name(state);
-  return tally;
 }
 
 /// `hadas device examine|validate|reset`: xbutil-style fleet device
@@ -152,7 +142,7 @@ int cmd_device(const Args& args) {
                        std::to_string(info.transitions)});
       }
       table.print(std::cout);
-      std::cout << "state tally: " << state_tally(registry) << "\n";
+      std::cout << "state tally: " << tools::state_tally(registry) << "\n";
     }
     return 0;
   }
@@ -443,6 +433,17 @@ int cmd_search(const Args& args) {
   return 0;
 }
 
+/// "r<resolution>/<layers>L", a backbone's name in result tables. Built by
+/// appending: GCC 12 flags `"r" + std::string` with a false -Wrestrict.
+std::string backbone_label(const supernet::BackboneConfig& backbone) {
+  std::string label = "r";
+  label += std::to_string(backbone.resolution);
+  label += '/';
+  label += std::to_string(backbone.total_layers());
+  label += 'L';
+  return label;
+}
+
 int cmd_show(const Args& args) {
   if (args.positional().empty()) throw std::invalid_argument(args.usage());
   const auto json = core::load_json(args.positional().front());
@@ -460,8 +461,7 @@ int cmd_show(const Args& args) {
   for (std::size_t i = 0; i < solutions.size(); ++i) {
     const auto& sol = solutions[i];
     table.add_row({std::to_string(i),
-                   "r" + std::to_string(sol.backbone.resolution) + "/" +
-                       std::to_string(sol.backbone.total_layers()) + "L",
+                   backbone_label(sol.backbone),
                    std::to_string(sol.placement.count()),
                    std::to_string(sol.setting.core_idx),
                    std::to_string(sol.setting.emc_idx),
@@ -493,8 +493,7 @@ int cmd_verify_checkpoint(const Args& args) {
     table.add_row({"version", std::to_string(info.version)});
     table.add_row({"format tag", info.format_tag});
     table.add_row({"payload bytes declared / file size",
-                   std::to_string(info.declared_bytes) + " / " +
-                       std::to_string(info.file_bytes) +
+                   tools::counts(info.declared_bytes, info.file_bytes) +
                        (info.length_ok ? "" : "  (TRUNCATED)")});
     table.add_row({"CRC-64 declared", info.crc_declared});
     table.add_row({"CRC-64 actual",
@@ -502,105 +501,15 @@ int cmd_verify_checkpoint(const Args& args) {
     table.add_row({"envelope", info.valid() ? "valid" : "CORRUPT"});
   }
 
-  // Envelope aside, run the full load path (parse + invariant validation)
-  // of whatever the format tag says this file is — search checkpoints,
-  // dist-layer artifacts, net session journals and serve journals all
-  // triage through the same command — and report the payload's identity.
+  // Envelope aside, load the payload through its format's own loader.
   try {
-    const std::string tag = info.format_tag;
-    if (info.legacy || tag == core::kCheckpointFormatTag) {
-      const core::SearchCheckpoint checkpoint = core::load_checkpoint(path);
-      table.add_row({"payload", "valid checkpoint"});
-      table.add_row({"fingerprint", checkpoint.fingerprint});
-      table.add_row({"next generation", std::to_string(checkpoint.next_generation)});
-      table.add_row({"population", std::to_string(checkpoint.population.size())});
-      table.add_row({"backbones", std::to_string(checkpoint.backbones.size())});
-      table.add_row({"outer / inner evaluations",
-                     std::to_string(checkpoint.outer_evaluations) + " / " +
-                         std::to_string(checkpoint.inner_evaluations)});
-    } else if (tag == dist::kDistSpecFormatTag) {
-      const dist::DistSpec spec = dist::load_spec(path);
-      table.add_row({"payload", "valid dist spec"});
-      table.add_row({"device / space", spec.device + " / " + spec.space});
-      table.add_row({"population x generations",
-                     std::to_string(spec.outer_population) + " x " +
-                         std::to_string(spec.outer_generations)});
-      table.add_row({"islands", std::to_string(spec.islands)});
-      table.add_row({"migration every / migrants",
-                     std::to_string(spec.migration_every) + " / " +
-                         std::to_string(spec.migrants)});
-    } else if (tag == dist::kMigrantsFormatTag) {
-      const dist::MigrantSet migrants = dist::load_migrants_file(path);
-      table.add_row({"payload", "valid migrant set"});
-      table.add_row({"island", std::to_string(migrants.island)});
-      table.add_row({"round", std::to_string(migrants.round)});
-      table.add_row({"genomes", std::to_string(migrants.genomes.size())});
-    } else if (tag == dist::kIslandResultFormatTag) {
-      const util::Json result = dist::load_island_result(path);
-      table.add_row({"payload", "valid island result"});
-      table.add_row({"island",
-                     std::to_string(result.at("island").as_index())});
-      table.add_row({"next generation",
-                     std::to_string(result.at("next_generation").as_index())});
-      table.add_row({"Pareto designs",
-                     std::to_string(result.at("final_pareto").as_array().size())});
-    } else if (tag == hw::fleet::kFleetFormatTag) {
-      const hw::fleet::FleetRegistry fleet = hw::fleet::FleetRegistry::load(path);
-      table.add_row({"payload", "valid fleet checkpoint"});
-      table.add_row({"devices / serviceable",
-                     std::to_string(fleet.size()) + " / " +
-                         std::to_string(fleet.serviceable_count())});
-      table.add_row({"state tally", state_tally(fleet)});
-      table.add_row({"chaos round", std::to_string(fleet.round())});
-      table.add_row({"last transition round",
-                     std::to_string(fleet.last_transition_round())});
-    } else if (tag == net::kSessionFormatTag ||
-               tag == dist::kDistSessionFormatTag) {
-      const bool serve = tag == net::kSessionFormatTag;
-      const auto session = net::load_session_state(path, tag.c_str());
-      table.add_row({"payload", serve ? "valid net session journal"
-                                      : "valid dist-net session journal"});
-      table.add_row({"session id", session->session_id});
-      table.add_row({serve ? "server fingerprint" : "spec fingerprint",
-                     session->fingerprint});
-      table.add_row({"write acked / unacked bytes",
-                     std::to_string(session->write_acked) + " / " +
-                         std::to_string(session->write_unacked.size())});
-      table.add_row({"read sequence", std::to_string(session->read_seq)});
-      // A dist-net app document tells the two roles apart: the coordinator
-      // journals which inbound rounds it pushed, a worker which rounds it
-      // uploaded.
-      if (session->app.contains("pushed"))
-        table.add_row({"role / migrant rounds pushed",
-                       "coordinator / " +
-                           std::to_string(session->app.at("pushed").size())});
-      if (session->app.contains("sent"))
-        table.add_row({"role / migrant rounds uploaded",
-                       "worker / " +
-                           std::to_string(session->app.at("sent").size())});
-      if (session->app.contains("final_sent"))
-        table.add_row({"island result uploaded",
-                       session->app.at("final_sent").as_bool() ? "yes" : "no"});
-    } else if (tag == runtime::serve::kServeJournalFormatTag) {
-      const std::string payload =
-          util::durable::DurableFile::read(path, tag);
-      runtime::serve::ServeJournalSnapshot snapshot;
-      try {
-        snapshot = runtime::serve::journal_snapshot_from_json(
-            util::Json::parse(payload));
-      } catch (const util::durable::CheckpointCorruptError&) {
-        throw;
-      } catch (const std::exception& e) {
-        throw util::durable::CheckpointCorruptError(
-            path, 0, util::durable::CorruptStage::kParse, e.what());
-      }
-      table.add_row({"payload", "valid serve journal"});
-      table.add_row({"fingerprint", snapshot.fingerprint});
-      table.add_row({"next request index", std::to_string(snapshot.next_index)});
-      table.add_row({"lanes", std::to_string(snapshot.lanes.size())});
+    if (const tools::DurableFormat* format = tools::find_durable_format(info)) {
+      const std::vector<tools::Row> rows = format->rows(path);
+      table.add_row({"payload", format->label});
+      for (const auto& [field, value] : rows) table.add_row({field, value});
     } else {
-      table.add_row({"payload", "unknown format tag (envelope " +
-                                    std::string(info.valid() ? "valid" : "CORRUPT") +
+      table.add_row({"payload", std::string("unknown format tag (envelope ") +
+                                    (info.valid() ? "valid" : "CORRUPT") +
                                     ", payload not triaged)"});
     }
     table.print(std::cout);
@@ -629,8 +538,7 @@ int cmd_deploy(const Args& args) {
   const auto& bank = engine.exit_bank(design.backbone);
   const auto& costs = engine.cost_table(design.backbone);
   const runtime::DeploymentSimulator sim(bank, costs);
-  const data::SampleStream stream(engine.task(), 2000,
-                                  args.get_or("stream-seed", std::size_t{5}));
+  const data::SampleStream stream = tools::sample_stream(args, engine.task());
 
   std::unique_ptr<runtime::ExitPolicy> policy;
   if (policy_name == "oracle") {
@@ -784,8 +692,7 @@ int run_fleet_serve(const Args& args, core::MultiDeviceEngine& engine,
   runtime::serve::TrafficConfig traffic;
   traffic.requests = args.get_or("serve-requests", std::size_t{400});
   traffic.arrival_rate_hz = args.get_or("serve-rate", 100.0);
-  const data::SampleStream stream(engine.task(), 2000,
-                                  args.get_or("stream-seed", std::size_t{5}));
+  const data::SampleStream stream = tools::sample_stream(args, engine.task());
   const auto trace = runtime::serve::poisson_trace(stream, traffic);
 
   std::cout << "serving design #" << index << " across " << plan.lanes.size()
@@ -870,8 +777,7 @@ int cmd_portable(const Args& args) {
   for (std::size_t i = 0; i < result.pareto.size(); ++i) {
     const auto& sol = result.pareto[i];
     table.add_row({std::to_string(i),
-                   "r" + std::to_string(sol.backbone.resolution) + "/" +
-                       std::to_string(sol.backbone.total_layers()) + "L",
+                   backbone_label(sol.backbone),
                    std::to_string(sol.placement.count()),
                    util::fmt_pct(sol.oracle_accuracy, 2),
                    util::fmt_pct(sol.worst_gain, 1),
