@@ -11,6 +11,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "durable_formats.hpp"
 #include "test_helpers.hpp"
@@ -109,12 +110,13 @@ std::string mutate(std::string bytes, const std::string& donor,
              bytes.substr(at + cut);
     }
     default: {
-      // The value after the n-th "key": up to the next ',' or newline.
-      std::size_t at = bytes.find("\": ");
-      for (std::size_t n = rng.uniform_index(64); n > 0 && at != std::string::npos; --n)
-        at = bytes.find("\": ", at + 1);
-      if (at == std::string::npos) return bytes;
-      at += 3;
+      // The value after a random "key": up to the next ',' or newline.
+      std::vector<std::size_t> values;
+      for (std::size_t at = bytes.find("\": "); at != std::string::npos;
+           at = bytes.find("\": ", at + 1))
+        values.push_back(at + 3);
+      if (values.empty()) return bytes;
+      const std::size_t at = values[rng.uniform_index(values.size())];
       const std::size_t end = bytes.find_first_of(",\n", at);
       const std::string token =
           kTokens[rng.uniform_index(sizeof(kTokens) / sizeof(kTokens[0]))];
@@ -125,8 +127,8 @@ std::string mutate(std::string bytes, const std::string& donor,
 }
 
 TEST(DurableFormats, MutatedFilesLoadOrThrowCheckpointCorruptError) {
-  constexpr std::size_t kPayloadMutations = 150;
-  constexpr std::size_t kEnvelopeMutations = 40;
+  constexpr std::size_t kPayloadMutations = 80;
+  constexpr std::size_t kEnvelopeMutations = 60;
   const test::ScratchDir scratch;
   util::Rng rng(0xD0C5EEDULL);
   std::map<std::string, std::string> payloads;
