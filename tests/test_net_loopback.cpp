@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
@@ -189,6 +190,85 @@ TEST(NetLoopback, HappyPathServesOneSession) {
   // Both journals were deleted on completion.
   EXPECT_FALSE(std::filesystem::exists(loop.dir + "/client-alice.json"));
   EXPECT_FALSE(std::filesystem::exists(loop.dir + "/session-alice.json"));
+}
+
+/// A small report holding every kind of byte the journal writer escapes:
+/// quotes, backslashes, newlines, tabs, other control bytes and bytes
+/// >= 0x80, next to a digest of the received trace.
+class EscapingService : public runtime::serve::ServeService {
+ public:
+  std::size_t sample_count() const override { return 40; }
+  const std::string& fingerprint() const override { return fingerprint_; }
+  std::string run_trace(
+      const std::vector<runtime::serve::RemoteRequest>& requests)
+      const override {
+    std::uint64_t id_sum = 0;
+    for (const auto& r : requests) id_sum += r.id;
+    std::string report = "{\n  \"requests\": ";
+    report += std::to_string(requests.size());
+    report += ",\n  \"id_sum\": ";
+    report += std::to_string(id_sum);
+    report += "\n}\n";
+    for (int i = 0; i < 8; ++i) {
+      report += "\t\"q\\\"uote\" \\path\\to\\file\r\n";
+      report += "caf\303\251 \001\037\177\200\377 ";
+      report += std::to_string(i);
+      report += '\n';
+    }
+    return report;
+  }
+
+ private:
+  std::string fingerprint_ = "escaping-service-fp-1";
+};
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Compares `actual` with tests/golden/durable/<name>. On a mismatch the
+/// actual bytes are left in <name>.actual in the working directory: after
+/// an intended format change, check them and copy them over the fixture.
+void expect_golden_bytes(const std::string& name, const std::string& actual) {
+  const std::string expected =
+      slurp(std::string(HADAS_DURABLE_FIXTURES) + "/" + name);
+  EXPECT_FALSE(expected.empty()) << "missing fixture " << name;
+  if (actual == expected) return;
+  std::ofstream(name + ".actual", std::ios::binary) << actual;
+  ADD_FAILURE() << name << " differs from its fixture; the bytes written are in "
+                << std::filesystem::absolute(name + ".actual");
+}
+
+// One fixed session run to completion, pinning the bytes of the last
+// journal each side wrote before the session was garbage-collected: the
+// daemon's session-<id>.json (request rows, the finished flag and the
+// unacked report frames in hex) and the client's state file (the escaped
+// report and the unacked BYE).
+TEST(NetLoopback, JournalBytesMatchGoldenFiles) {
+  Loopback loop("journal_golden");
+  const EscapingService service;
+  ServeDaemon daemon(loop.handler, service, loop.daemon_config());
+  daemon.start();
+  ClientConfig config = loop.client_config("golden", 40);
+  config.batch = 16;
+  ServeClient client(loop.handler, config);
+
+  const std::string daemon_path = loop.dir + "/session-golden.json";
+  std::string daemon_journal, client_journal;
+  for (int i = 0; i < 20000 && !client.done(); ++i) {
+    client.step();
+    if (std::filesystem::exists(config.state_path))
+      client_journal = slurp(config.state_path);
+    daemon.step();
+    if (std::filesystem::exists(daemon_path))
+      daemon_journal = slurp(daemon_path);
+  }
+  ASSERT_TRUE(client.done());
+  EXPECT_EQ(daemon.sessions_completed(), 1u);
+  expect_golden_bytes("serve-session-daemon.json", daemon_journal);
+  expect_golden_bytes("serve-session-client.json", client_journal);
 }
 
 // The daemon's ack of BYE and its close can both land in the client's last

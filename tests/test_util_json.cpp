@@ -80,6 +80,84 @@ TEST(Json, StringEscaping) {
   EXPECT_EQ(Json::parse(dumped).as_string(), json.as_string());
 }
 
+// Pins the serialized bytes of every byte value, in values and in keys, at
+// both dump widths: runs of quotes, backslashes, control bytes and bytes
+// >= 0x80 next to each other, a string that starts and ends with an
+// escape, an empty one and a long plain run. Durable files and frames carry
+// dump() output, so a faster escaper must reproduce these bytes exactly.
+TEST(Json, DumpEscapesEveryByteValueExactly) {
+  using namespace std::string_literals;
+  std::string all;
+  for (int b = 0; b < 256; ++b) all.push_back(static_cast<char>(b));
+  Json json;
+  json["all"] = Json(all);
+  json["key\"\\\001\200"s] = Json(""s);
+  json["runs"] = Json(Json::Array{
+      Json("\"\"\"\\\\\\"s),
+      Json("plain run, then \"quoted\" and \\back\\slashed\\"s),
+      Json("\001\002\n\t\r\037\177\010\014"s),
+      Json("\200\"\377\\\303\251 caf\303\251\000end"s),
+      Json("\nmiddle\n"s),
+      Json(""s),
+      Json("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"s),
+  });
+
+  const std::string compact =
+      "{\"all\":\"\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006"
+      "\\u0007\\u0008\\t\\n\\u000b\\u000c\\r\\u000e\\u000f\\u0010\\u0011"
+      "\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017\\u0018\\u0019\\u001a"
+      "\\u001b\\u001c\\u001d\\u001e\\u001f !\\\"#$%&'()*+,-./0123456789:;<="
+      ">?@ABCDEFGHIJKLMNOPQRSTUVWXYZ[\\\\]^_`abcdefghijklmnopqrstuvwxyz"
+      "{|}~\177\200\201\202\203\204\205\206\207\210\211\212\213\214\215"
+      "\216\217\220\221\222\223\224\225\226\227\230\231\232\233\234\235"
+      "\236\237\240\241\242\243\244\245\246\247\250\251\252\253\254\255"
+      "\256\257\260\261\262\263\264\265\266\267\270\271\272\273\274\275"
+      "\276\277\300\301\302\303\304\305\306\307\310\311\312\313\314\315"
+      "\316\317\320\321\322\323\324\325\326\327\330\331\332\333\334\335"
+      "\336\337\340\341\342\343\344\345\346\347\350\351\352\353\354\355"
+      "\356\357\360\361\362\363\364\365\366\367\370\371\372\373\374\375"
+      "\376\377\","
+      "\"key\\\"\\\\\\u0001\200\":\"\","
+      "\"runs\":["
+      "\"\\\"\\\"\\\"\\\\\\\\\\\\\","
+      "\"plain run, then \\\"quoted\\\" and \\\\back\\\\slashed\\\\\","
+      "\"\\u0001\\u0002\\n\\t\\r\\u001f\177\\u0008\\u000c\","
+      "\"\200\\\"\377\\\\\303\251 caf\303\251\\u0000end\","
+      "\"\\nmiddle\\n\","
+      "\"\","
+      "\"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789\"]}";
+  const std::string pretty =
+      "{\n"
+      "  \"all\": \"\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006"
+      "\\u0007\\u0008\\t\\n\\u000b\\u000c\\r\\u000e\\u000f\\u0010\\u0011"
+      "\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017\\u0018\\u0019\\u001a"
+      "\\u001b\\u001c\\u001d\\u001e\\u001f !\\\"#$%&'()*+,-./0123456789:;<="
+      ">?@ABCDEFGHIJKLMNOPQRSTUVWXYZ[\\\\]^_`abcdefghijklmnopqrstuvwxyz"
+      "{|}~\177\200\201\202\203\204\205\206\207\210\211\212\213\214\215"
+      "\216\217\220\221\222\223\224\225\226\227\230\231\232\233\234\235"
+      "\236\237\240\241\242\243\244\245\246\247\250\251\252\253\254\255"
+      "\256\257\260\261\262\263\264\265\266\267\270\271\272\273\274\275"
+      "\276\277\300\301\302\303\304\305\306\307\310\311\312\313\314\315"
+      "\316\317\320\321\322\323\324\325\326\327\330\331\332\333\334\335"
+      "\336\337\340\341\342\343\344\345\346\347\350\351\352\353\354\355"
+      "\356\357\360\361\362\363\364\365\366\367\370\371\372\373\374\375"
+      "\376\377\",\n"
+      "  \"key\\\"\\\\\\u0001\200\": \"\",\n"
+      "  \"runs\": [\n"
+      "    \"\\\"\\\"\\\"\\\\\\\\\\\\\",\n"
+      "    \"plain run, then \\\"quoted\\\" and \\\\back\\\\slashed\\\\\",\n"
+      "    \"\\u0001\\u0002\\n\\t\\r\\u001f\177\\u0008\\u000c\",\n"
+      "    \"\200\\\"\377\\\\\303\251 caf\303\251\\u0000end\",\n"
+      "    \"\\nmiddle\\n\",\n"
+      "    \"\",\n"
+      "    \"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789\"\n"
+      "  ]\n"
+      "}";
+  EXPECT_EQ(json.dump(), compact);
+  EXPECT_EQ(json.dump(2), pretty);
+  EXPECT_EQ(Json::parse(json.dump()), json);
+}
+
 TEST(JsonParse, Scalars) {
   EXPECT_TRUE(Json::parse("null").is_null());
   EXPECT_EQ(Json::parse("true").as_bool(), true);
