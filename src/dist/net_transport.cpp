@@ -334,8 +334,8 @@ void NetTransport::save_session(std::size_t island) {
   app["partial"] = util::Json(session.inbound.partial);
   app["partial_key"] = util::Json(session.inbound.key);
   state.app = util::Json(std::move(app));
-  net::save_session_state(dist_session_path(workdir_, island), state,
-                          kDistSessionFormatTag);
+  net::save_session_state(dist_session_path(workdir_, island),
+                          std::move(state), kDistSessionFormatTag);
 }
 
 bool NetTransport::refuse(Conn& conn, const std::string& reason) {

@@ -205,7 +205,8 @@ void NetWorker::save() {
   app["partial"] = util::Json(inbound_.partial);
   app["partial_key"] = util::Json(inbound_.key);
   state.app = util::Json(std::move(app));
-  net::save_session_state(state_path_, state, kDistSessionFormatTag);
+  net::save_session_state(state_path_, std::move(state),
+                          kDistSessionFormatTag);
 }
 
 void NetWorker::restore() {

@@ -83,7 +83,7 @@ void ServeClient::save() {
   app["bye_sent"] = util::Json(bye_sent_);
   app["sample_count"] = util::Json(std::to_string(sample_count_));
   state.app = util::Json(std::move(app));
-  save_session_state(config_.state_path, state);
+  save_session_state(config_.state_path, std::move(state));
 }
 
 void ServeClient::restore() {

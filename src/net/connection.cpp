@@ -31,8 +31,7 @@ void Transport::send_frame(const Frame& frame) {
   net_metrics().frames_sent.inc();
 }
 
-std::string encode_data_payload(std::uint64_t offset,
-                                const std::string& chunk) {
+std::string encode_data_payload(std::uint64_t offset, std::string_view chunk) {
   std::string payload;
   payload.reserve(8 + chunk.size());
   put_u64(payload, offset);
@@ -47,8 +46,7 @@ bool Transport::pump(const BackedWriter& writer) {
     // this connection yet.
     while (streaming_ && cursor_ < writer.write_seq() &&
            outbox_.size() < kOutboxSoftCap) {
-      std::string_view view = writer.from(cursor_);
-      const std::string chunk(view.substr(0, kDataChunk));
+      const std::string_view chunk = writer.from(cursor_).substr(0, kDataChunk);
       outbox_ +=
           encode_frame(FrameType::kData, encode_data_payload(cursor_, chunk));
       net_metrics().frames_sent.inc();

@@ -87,6 +87,6 @@ class Transport {
 };
 
 /// Build the payload of a kData frame: u64 absolute offset + chunk bytes.
-std::string encode_data_payload(std::uint64_t offset, const std::string& chunk);
+std::string encode_data_payload(std::uint64_t offset, std::string_view chunk);
 
 }  // namespace hadas::net

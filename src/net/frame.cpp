@@ -60,7 +60,7 @@ std::uint64_t get_u64(const std::string& in, std::size_t offset) {
   return v;
 }
 
-std::string encode_frame(FrameType type, const std::string& payload) {
+std::string encode_frame(FrameType type, std::string_view payload) {
   if (payload.size() > kMaxFramePayload)
     throw std::invalid_argument(
         "encode_frame: payload of " + std::to_string(payload.size()) +
@@ -73,9 +73,8 @@ std::string encode_frame(FrameType type, const std::string& payload) {
   put_u32(out, static_cast<std::uint32_t>(payload.size()));
   out += payload;
   // CRC covers type + length + payload (everything after the magic).
-  const std::uint64_t crc =
-      util::durable::crc64(out.substr(sizeof(kMagic)));
-  put_u64(out, crc);
+  put_u64(out,
+          util::durable::crc64(std::string_view(out).substr(sizeof(kMagic))));
   return out;
 }
 
@@ -92,7 +91,7 @@ std::optional<PeekedFrame> peek_frame(const std::string& buffer) {
   if (buffer.size() < total) return std::nullopt;
   const std::uint64_t declared = get_u64(buffer, kHeaderBytes + length);
   const std::uint64_t actual = util::durable::crc64(
-      buffer.substr(sizeof(kMagic), 1 + 4 + length));
+      std::string_view(buffer).substr(sizeof(kMagic), 1 + 4 + length));
   if (declared != actual)
     throw FrameError("frame stream corrupt: CRC mismatch");
   PeekedFrame peeked;

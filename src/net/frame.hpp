@@ -4,6 +4,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace hadas::net {
 
@@ -68,7 +69,7 @@ std::uint64_t get_u64(const std::string& in, std::size_t offset);
 ///   CRC-64/XZ of (type..payload) u64 LE (8)
 ///
 /// Throws std::invalid_argument when payload exceeds kMaxFramePayload.
-std::string encode_frame(FrameType type, const std::string& payload);
+std::string encode_frame(FrameType type, std::string_view payload);
 
 /// Parse the frame at the start of `buffer` without consuming it. Returns
 /// the frame plus its encoded size (so the caller can consume exactly that

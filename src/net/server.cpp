@@ -99,7 +99,7 @@ void ServeDaemon::save_session(const std::string& id, const Session& session) {
   app["requests"] = requests_to_json(session.requests);
   app["finished"] = util::Json(session.finished);
   state.app = util::Json(std::move(app));
-  save_session_state(session_path(id), state);
+  save_session_state(session_path(id), std::move(state));
 }
 
 ServeDaemon::Session* ServeDaemon::find_session(const std::string& id) {

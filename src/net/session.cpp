@@ -18,14 +18,14 @@ std::uint64_t u64_field(const util::Json& json, const std::string& key) {
 
 }  // namespace
 
-util::Json session_state_to_json(const SessionState& state) {
+util::Json session_state_to_json(SessionState state) {
   util::Json::Object doc;
-  doc["session_id"] = state.session_id;
-  doc["fingerprint"] = state.fingerprint;
+  doc["session_id"] = std::move(state.session_id);
+  doc["fingerprint"] = std::move(state.fingerprint);
   doc["write_acked"] = std::to_string(state.write_acked);
   doc["write_unacked_hex"] = util::to_hex(state.write_unacked);
   doc["read_seq"] = std::to_string(state.read_seq);
-  doc["app"] = state.app;
+  doc["app"] = std::move(state.app);
   return util::Json(std::move(doc));
 }
 
@@ -40,9 +40,10 @@ SessionState session_state_from_json(const util::Json& json) {
   return state;
 }
 
-void save_session_state(const std::string& path, const SessionState& state,
+void save_session_state(const std::string& path, SessionState state,
                         const char* format_tag) {
-  const std::string payload = session_state_to_json(state).dump(2) + "\n";
+  std::string payload = session_state_to_json(std::move(state)).dump(2);
+  payload += '\n';
   util::durable::DurableFile::write(path, format_tag, payload);
   net_metrics().journal_saves.inc();
   net_metrics().bytes_journaled.inc(payload.size());

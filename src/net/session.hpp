@@ -46,14 +46,16 @@ struct SessionState {
   util::Json app;
 };
 
-util::Json session_state_to_json(const SessionState& state);
+/// Both take the state by value: pass it with std::move, and the `app`
+/// document moves into the journal instead of being deep-copied.
+util::Json session_state_to_json(SessionState state);
 SessionState session_state_from_json(const util::Json& json);
 
 /// Durably (temp + fsync + rename) persist `state` at `path`. Counts the
 /// journal traffic in the net metrics. `format_tag` names the journal's
 /// durable-envelope type — serve sessions use kSessionFormatTag, dist-net
 /// sessions their own tag — so `hadas verify-checkpoint` can triage them.
-void save_session_state(const std::string& path, const SessionState& state,
+void save_session_state(const std::string& path, SessionState state,
                         const char* format_tag = kSessionFormatTag);
 
 /// Load a previously saved state; nullopt when `path` does not exist.

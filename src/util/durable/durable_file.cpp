@@ -3,6 +3,8 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <array>
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -43,31 +45,35 @@ void count_durable(std::uint64_t DurableStats::* counter, std::uint64_t n) {
 
 namespace {
 
-constexpr const char* kMagic = "%HADAS-DURABLE";
 /// The envelope's first bytes, up to the version number.
 constexpr std::string_view kMagicPrefix = "%HADAS-DURABLE v";
-constexpr const char* kFooterMagic = "%HADAS-CRC64";
 /// What follows the payload, up to the 16 CRC digits.
 constexpr std::string_view kFooterPrefix = "\n%HADAS-CRC64 ";
 /// The whole footer: prefix, 16 hex digits, newline.
 constexpr std::size_t kFooterBytes = kFooterPrefix.size() + 16 + 1;
 constexpr std::uint32_t kVersion = 1;
 
-/// CRC-64/XZ table, built lazily (reflected ECMA-182 polynomial).
-const std::uint64_t* crc64_table() {
-  static const auto table = [] {
-    static std::uint64_t t[256];
-    const std::uint64_t poly = 0xC96C5795D7870F42ULL;  // reflected ECMA-182
-    for (std::uint64_t i = 0; i < 256; ++i) {
-      std::uint64_t crc = i;
-      for (int bit = 0; bit < 8; ++bit)
-        crc = (crc >> 1) ^ ((crc & 1) ? poly : 0);
-      t[i] = crc;
-    }
-    return t;
-  }();
-  return table;
+/// CRC-64/XZ slicing-by-8 tables (reflected ECMA-182 polynomial). Row 0 is
+/// the bytewise table; row k advances a byte's contribution by k more zero
+/// bytes, so eight rows fold one 8-byte word per step.
+using Crc64Tables = std::array<std::array<std::uint64_t, 256>, 8>;
+
+constexpr Crc64Tables make_crc64_tables() {
+  constexpr std::uint64_t kPoly = 0xC96C5795D7870F42ULL;  // reflected ECMA-182
+  Crc64Tables t{};
+  for (std::uint64_t i = 0; i < 256; ++i) {
+    std::uint64_t crc = i;
+    for (int bit = 0; bit < 8; ++bit)
+      crc = (crc >> 1) ^ ((crc & 1) ? kPoly : 0);
+    t[0][i] = crc;
+  }
+  for (std::size_t k = 1; k < 8; ++k)
+    for (std::size_t i = 0; i < 256; ++i)
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+  return t;
 }
+
+constexpr Crc64Tables kCrc64Tables = make_crc64_tables();
 
 void write_all(int fd, const std::string& path, const char* data,
                std::size_t size) {
@@ -178,11 +184,24 @@ CheckpointCorruptError::CheckpointCorruptError(std::string file,
       stage_(stage),
       detail_(detail) {}
 
-std::uint64_t crc64(const std::string& bytes) {
-  const std::uint64_t* table = crc64_table();
+std::uint64_t crc64(std::string_view bytes) {
+  const Crc64Tables& t = kCrc64Tables;
+  const char* p = bytes.data();
+  std::size_t n = bytes.size();
   std::uint64_t crc = ~0ULL;
-  for (unsigned char c : bytes)
-    crc = (crc >> 8) ^ table[(crc ^ c) & 0xFF];
+  if constexpr (std::endian::native == std::endian::little) {
+    for (; n >= 8; p += 8, n -= 8) {
+      std::uint64_t word = 0;
+      std::memcpy(&word, p, sizeof(word));
+      crc ^= word;
+      crc = t[7][crc & 0xFF] ^ t[6][(crc >> 8) & 0xFF] ^
+            t[5][(crc >> 16) & 0xFF] ^ t[4][(crc >> 24) & 0xFF] ^
+            t[3][(crc >> 32) & 0xFF] ^ t[2][(crc >> 40) & 0xFF] ^
+            t[1][(crc >> 48) & 0xFF] ^ t[0][crc >> 56];
+    }
+  }
+  for (; n > 0; ++p, --n)
+    crc = (crc >> 8) ^ t[0][(crc ^ static_cast<unsigned char>(*p)) & 0xFF];
   return ~crc;
 }
 
@@ -192,12 +211,18 @@ void DurableFile::write(const std::string& path, const std::string& format_tag,
       format_tag.find_first_of(" \n\t") != std::string::npos)
     throw std::invalid_argument("DurableFile: bad format tag '" + format_tag +
                                 "'");
-  std::ostringstream envelope;
-  envelope << kMagic << " v" << kVersion << ' ' << format_tag << ' '
-           << payload.size() << '\n'
-           << payload << '\n'
-           << kFooterMagic << ' ' << hex_u64(crc64(payload)) << '\n';
-  const std::string bytes = envelope.str();
+  const std::string header_fields = std::to_string(kVersion) + ' ' +
+                                    format_tag + ' ' +
+                                    std::to_string(payload.size()) + '\n';
+  std::string bytes;
+  bytes.reserve(kMagicPrefix.size() + header_fields.size() + payload.size() +
+                kFooterBytes);
+  bytes += kMagicPrefix;
+  bytes += header_fields;
+  bytes += payload;
+  bytes += kFooterPrefix;
+  bytes += hex_u64(crc64(payload));
+  bytes += '\n';
 
   failpoint("durable.save.begin");
   const std::string tmp = path + ".tmp";

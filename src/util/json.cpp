@@ -106,25 +106,30 @@ bool Json::operator==(const Json& other) const {
 // ---------- serialization ----------
 
 namespace {
+/// Appends `s` quoted, each run of bytes that needs no escape in one go.
 void dump_string(std::string& out, const std::string& s) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out += '"';
-  for (char c : s) {
+  std::size_t run = 0;  // first byte not yet appended
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\t': out += "\\t"; break;
       case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                               kHex[c & 0xF]};
+        out.append(escape, sizeof(escape));
+      }
     }
   }
+  out.append(s, run);
   out += '"';
 }
 

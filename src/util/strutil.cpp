@@ -89,11 +89,11 @@ HostPort parse_hostport(const std::string& what, const std::string& value) {
 
 std::string to_hex(const std::string& bytes) {
   static const char* digits = "0123456789abcdef";
-  std::string out;
-  out.reserve(bytes.size() * 2);
+  std::string out(bytes.size() * 2, '\0');
+  char* p = out.data();
   for (unsigned char c : bytes) {
-    out.push_back(digits[c >> 4]);
-    out.push_back(digits[c & 0xF]);
+    *p++ = digits[c >> 4];
+    *p++ = digits[c & 0xF];
   }
   return out;
 }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -153,6 +154,131 @@ TEST(NetFrame, PeekFrameMatchesDecoderAndReportsSize) {
   ASSERT_TRUE(rest.has_value());
   EXPECT_EQ(rest->frame.type, FrameType::kBye);
   EXPECT_EQ(rest->encoded_size, b.size());
+}
+
+/// A stream of encoded frames. Each payload opens with a u64 tag unique
+/// across every stream a test builds, then 1..120 random bytes, so no
+/// mutation that changes a payload byte can turn it into another frame.
+struct FrameStream {
+  std::vector<Frame> frames;
+  std::vector<std::size_t> ends;  ///< wire offset just past each frame
+  std::string wire;
+};
+
+FrameStream random_stream(util::Rng& rng, std::uint64_t first_tag,
+                          std::size_t count) {
+  FrameStream stream;
+  for (std::size_t i = 0; i < count; ++i) {
+    Frame frame;
+    frame.type = random_type(rng);
+    net::put_u64(frame.payload, first_tag + i);
+    frame.payload += random_payload(rng, 119) + 'x';
+    stream.wire += net::encode_frame(frame.type, frame.payload);
+    stream.ends.push_back(stream.wire.size());
+    stream.frames.push_back(std::move(frame));
+  }
+  return stream;
+}
+
+enum class Mutation { kBitFlips, kTruncation, kSplice, kOversizedLength };
+
+/// One seeded mutation of `stream.wire`. A splice replaces a random range
+/// that starts inside a payload, past its tag, with a slice of `donor`
+/// whose first byte differs from the byte it replaces.
+std::string mutate(const FrameStream& stream, const FrameStream& donor,
+                   Mutation mutation, util::Rng& rng) {
+  std::string bytes = stream.wire;
+  const std::size_t k = rng.uniform_index(stream.frames.size());
+  const std::size_t start = k == 0 ? 0 : stream.ends[k - 1];
+  switch (mutation) {
+    case Mutation::kBitFlips:
+      for (std::size_t i = 0, n = 1 + rng.uniform_index(4); i < n; ++i) {
+        const std::size_t at = rng.uniform_index(bytes.size());
+        bytes[at] = static_cast<char>(bytes[at] ^ (1 << rng.uniform_index(8)));
+      }
+      return bytes;
+    case Mutation::kTruncation:
+      return bytes.substr(0, rng.uniform_index(bytes.size()));
+    case Mutation::kSplice: {
+      const std::size_t tag_end = start + 4 + 1 + 4 + 8;
+      const std::size_t payload_end =
+          start + 4 + 1 + 4 + stream.frames[k].payload.size();
+      const std::size_t from =
+          tag_end + rng.uniform_index(payload_end - tag_end);
+      const std::size_t to = from + rng.uniform_index(bytes.size() - from + 1);
+      const std::size_t at = rng.uniform_index(donor.wire.size());
+      std::string slice = donor.wire.substr(at, 1 + rng.uniform_index(64));
+      if (slice[0] == bytes[from]) slice[0] = static_cast<char>(~slice[0]);
+      return bytes.substr(0, from) + slice + bytes.substr(to);
+    }
+    case Mutation::kOversizedLength: {
+      std::string length;
+      net::put_u32(length, static_cast<std::uint32_t>(
+                               net::kMaxFramePayload + 1 +
+                               rng.uniform_index(std::uint32_t{0xFFFFFFFF} -
+                                                 net::kMaxFramePayload)));
+      bytes.replace(start + 5, 4, length);
+      return bytes;
+    }
+  }
+  return bytes;
+}
+
+// Seeded mutations of frame streams (bit flips, truncations, splices and
+// oversized declared lengths) fed to the decoder in random chunk sizes. The
+// decoder may only yield the frames that lie wholly before the first
+// changed byte, then stop with nullopt or FrameError; any other exception,
+// crash or invented frame fails the test.
+TEST(NetFrame, MutatedStreamsYieldOnlyAnIntactPrefix) {
+  util::Rng rng(0xF0A2);
+  for (int iter = 0; iter < 3000; ++iter) {
+    const FrameStream stream =
+        random_stream(rng, 2 * std::uint64_t(iter) << 32,
+                      1 + rng.uniform_index(24));
+    const FrameStream donor =
+        random_stream(rng, (2 * std::uint64_t(iter) + 1) << 32,
+                      1 + rng.uniform_index(8));
+    const auto mutation = static_cast<Mutation>(rng.uniform_index(4));
+    const std::string bytes = mutate(stream, donor, mutation, rng);
+
+    const std::size_t first_change =
+        std::mismatch(bytes.begin(), bytes.end(), stream.wire.begin(),
+                      stream.wire.end())
+            .first -
+        bytes.begin();
+    const std::size_t intact =
+        std::upper_bound(stream.ends.begin(), stream.ends.end(),
+                         first_change) -
+        stream.ends.begin();
+
+    FrameDecoder decoder;
+    std::vector<Frame> received;
+    bool corrupt = false;
+    try {
+      for (std::size_t at = 0; at < bytes.size();) {
+        const std::size_t n =
+            std::min(bytes.size() - at, 1 + rng.uniform_index(200));
+        decoder.feed(bytes.data() + at, n);
+        at += n;
+        while (auto frame = decoder.next())
+          received.push_back(std::move(*frame));
+      }
+    } catch (const FrameError&) {
+      corrupt = true;
+    }
+    SCOPED_TRACE("iteration " + std::to_string(iter) + ", mutation " +
+                 std::to_string(static_cast<int>(mutation)));
+    ASSERT_EQ(received.size(), intact);
+    for (std::size_t i = 0; i < intact; ++i) {
+      ASSERT_EQ(received[i].type, stream.frames[i].type) << "frame " << i;
+      ASSERT_EQ(received[i].payload, stream.frames[i].payload) << "frame " << i;
+    }
+    if (mutation == Mutation::kTruncation) {
+      EXPECT_FALSE(corrupt);
+    } else if (mutation == Mutation::kOversizedLength) {
+      EXPECT_TRUE(corrupt);
+    }
+  }
 }
 
 TEST(NetFrame, IntegerHelpersRoundTrip) {
