@@ -200,9 +200,9 @@ std::string mutate(const FrameStream& stream, const FrameStream& donor,
     case Mutation::kTruncation:
       return bytes.substr(0, rng.uniform_index(bytes.size()));
     case Mutation::kSplice: {
-      const std::size_t tag_end = start + 4 + 1 + 4 + 8;
-      const std::size_t payload_end =
-          start + 4 + 1 + 4 + stream.frames[k].payload.size();
+      const std::size_t payload = start + 4 + 1 + 4;  // magic, type, length
+      const std::size_t tag_end = payload + 8;
+      const std::size_t payload_end = payload + stream.frames[k].payload.size();
       const std::size_t from =
           tag_end + rng.uniform_index(payload_end - tag_end);
       const std::size_t to = from + rng.uniform_index(bytes.size() - from + 1);

@@ -237,8 +237,8 @@ void expect_golden_bytes(const std::string& name, const std::string& actual) {
   EXPECT_FALSE(expected.empty()) << "missing fixture " << name;
   if (actual == expected) return;
   std::ofstream(name + ".actual", std::ios::binary) << actual;
-  ADD_FAILURE() << name << " differs from its fixture; the bytes written are in "
-                << std::filesystem::absolute(name + ".actual");
+  ADD_FAILURE() << name << " differs from its fixture; the bytes written are "
+                << "in " << std::filesystem::absolute(name + ".actual");
 }
 
 // One fixed session run to completion, pinning the bytes of the last
