@@ -22,6 +22,7 @@
 #include "dist/net_transport.hpp"
 #include "dist/worker.hpp"
 #include "eager_peer.hpp"
+#include "golden_bytes.hpp"
 #include "net/backed_stream.hpp"
 #include "net/fake_socket.hpp"
 #include "net/frame.hpp"
@@ -276,6 +277,43 @@ TEST(DistNet, LoopbackMatchesInlineReference) {
     EXPECT_EQ(fleet.merged(), reference_front(islands)) << "K=" << islands;
     for (auto& worker : fleet.workers) EXPECT_TRUE(worker->done());
   }
+}
+
+// One fixed 2-island run to completion, pinning the bytes of the last
+// journal each end of island 0's session wrote before the session was
+// garbage-collected: the coordinator's session-island-0.json (pushed
+// rounds, a half-received blob, unacked migrant frames in hex) and the
+// worker's (uploaded rounds and the unacked island result). The migrant and
+// result payloads are full of printed doubles.
+TEST(DistNet, JournalBytesMatchGoldenFiles) {
+  Fleet fleet("journal_golden", 2);
+  const std::string coordinator_path =
+      hadas::dist::dist_session_path(fleet.dir + "/coord", 0);
+  const std::string worker_path =
+      hadas::dist::dist_session_path(fleet.dir + "/worker0", 0);
+  std::string coordinator_journal, worker_journal;
+  const auto capture = [&] {
+    if (std::filesystem::exists(coordinator_path))
+      coordinator_journal = hadas::test::slurp(coordinator_path);
+    if (std::filesystem::exists(worker_path))
+      worker_journal = hadas::test::slurp(worker_path);
+  };
+  bool complete = false;
+  for (int tick = 0; tick < 200000 && !complete; ++tick) {
+    fleet.coordinator->step(fleet.report);
+    capture();
+    for (auto& worker : fleet.workers) {
+      if (!worker->done()) worker->step();
+      capture();
+    }
+    complete = fleet.coordinator->finished();
+    for (auto& worker : fleet.workers) complete &= worker->done();
+  }
+  ASSERT_TRUE(complete);
+  EXPECT_EQ(fleet.merged(), reference_front(2));
+  hadas::test::expect_golden_bytes("dist-session-coordinator.json",
+                                   coordinator_journal);
+  hadas::test::expect_golden_bytes("dist-session-worker.json", worker_journal);
 }
 
 TEST(DistNet, LoopbackMatchesInlineReferenceK4) {

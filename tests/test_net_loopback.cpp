@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "eager_peer.hpp"
+#include "golden_bytes.hpp"
 #include "net/client.hpp"
 #include "net/fake_socket.hpp"
 #include "net/frame.hpp"
@@ -39,6 +40,8 @@ using net::FlakySocketHandler;
 using net::ServeClient;
 using net::ServeDaemon;
 using test::EagerPeerHandler;
+using test::expect_golden_bytes;
+using test::slurp;
 
 /// Deterministic stand-in for the supervisor bridge: echoes a digest of the
 /// received trace, padded well past one report chunk so the report spans
@@ -221,25 +224,6 @@ class EscapingService : public runtime::serve::ServeService {
  private:
   std::string fingerprint_ = "escaping-service-fp-1";
 };
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-}
-
-/// Compares `actual` with tests/golden/durable/<name>. On a mismatch the
-/// actual bytes are left in <name>.actual in the working directory: after
-/// an intended format change, check them and copy them over the fixture.
-void expect_golden_bytes(const std::string& name, const std::string& actual) {
-  const std::string expected =
-      slurp(std::string(HADAS_DURABLE_FIXTURES) + "/" + name);
-  EXPECT_FALSE(expected.empty()) << "missing fixture " << name;
-  if (actual == expected) return;
-  std::ofstream(name + ".actual", std::ios::binary) << actual;
-  ADD_FAILURE() << name << " differs from its fixture; the bytes written are "
-                << "in " << std::filesystem::absolute(name + ".actual");
-}
 
 // One fixed session run to completion, pinning the bytes of the last
 // journal each side wrote before the session was garbage-collected: the
