@@ -7,7 +7,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <thread>
@@ -26,18 +25,6 @@ namespace hadas::dist {
 using util::durable::DurableFile;
 
 namespace {
-
-const net::BackedWriter& empty_writer() {
-  static const net::BackedWriter writer;
-  return writer;
-}
-
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return std::string(buf, 16);
-}
 
 std::string describe_exit(int status) {
   if (WIFEXITED(status))
@@ -75,13 +62,6 @@ std::vector<char*> c_strings(std::vector<std::string>& strings) {
 
 }  // namespace
 
-net::Frame ack_frame(std::uint64_t read_seq) {
-  net::Frame frame;
-  frame.type = net::FrameType::kAck;
-  net::put_u64(frame.payload, read_seq);
-  return frame;
-}
-
 util::Json rounds_to_json(const std::set<std::size_t>& rounds) {
   util::Json::Array array;
   for (std::size_t round : rounds)
@@ -104,18 +84,21 @@ std::optional<std::size_t> parse_dist_session_id(const std::string& id) {
   const std::string prefix = "island-";
   if (!util::starts_with(id, prefix)) return std::nullopt;
   try {
-    return util::parse_size("dist session island", id.substr(prefix.size()));
+    const std::size_t island =
+        util::parse_size("dist session island", id.substr(prefix.size()));
+    // One spelling per island: "island-07" would be a second session of 7.
+    if (dist_session_id(island) == id) return island;
   } catch (const std::exception&) {
-    return std::nullopt;
   }
+  return std::nullopt;
 }
 
 std::string dist_session_path(const std::string& workdir, std::size_t island) {
-  return workdir + "/session-" + dist_session_id(island) + ".json";
+  return net::session_journal_path(workdir, dist_session_id(island));
 }
 
 std::string spec_fingerprint(const DistSpec& spec) {
-  return "spec-" + hex16(util::durable::crc64(spec_to_json(spec).dump(0)));
+  return "spec-" + util::hex_u64(util::durable::crc64(spec_to_json(spec).dump(0)));
 }
 
 void append_blob(net::BackedWriter& writer, net::FrameType type,
@@ -214,29 +197,35 @@ NetTransport::NetTransport(DistSpec spec, std::string workdir,
       options_(options),
       say_(std::move(say)),
       fingerprint_(spec_fingerprint(spec_)),
-      space_(spec_.search_space()) {
+      space_(spec_.search_space()),
+      owned_handler_(options.socket_handler == nullptr
+                         ? std::make_unique<net::TcpSocketHandler>()
+                         : nullptr),
+      host_(options.socket_handler != nullptr ? *options.socket_handler
+                                              : *owned_handler_,
+            {.label = "dist-net",
+             .self = "coordinator",
+             .peer = "worker",
+             .state_dir = workdir_,
+             .format_tag = kDistSessionFormatTag,
+             .fingerprint = fingerprint_,
+             .resumed = &dist_net_metrics().sessions_resumed,
+             .refused = &dist_net_metrics().refusals,
+             .log =
+                 [this](const std::string& what) {
+                   say_("dist-net: connection error: " + what);
+                 }},
+            *this) {
   if (spawning() && options_.socket_handler != nullptr)
     throw std::invalid_argument(
         "NetTransport: spawned workers dial real TCP; a custom socket "
         "handler needs options.listen");
-  if (options_.socket_handler == nullptr)
-    owned_handler_ = std::make_unique<net::TcpSocketHandler>();
   // Materialize the dist.net.* family up front so a --metrics-out snapshot
   // lists it (at zero) even for a run with no network traffic at all.
   dist_net_metrics();
 }
 
-NetTransport::~NetTransport() {
-  stop_workers(std::chrono::milliseconds(0));
-  for (const std::unique_ptr<Conn>& conn : connections_)
-    if (conn != nullptr) conn->transport.drop();
-  if (started_) handler().close_listener(listener_);
-}
-
-net::SocketHandler& NetTransport::handler() {
-  return options_.socket_handler != nullptr ? *options_.socket_handler
-                                            : *owned_handler_;
-}
+NetTransport::~NetTransport() { stop_workers(std::chrono::milliseconds(0)); }
 
 bool NetTransport::cancelled() const {
   return options_.cancel != nullptr &&
@@ -246,20 +235,19 @@ bool NetTransport::cancelled() const {
 void NetTransport::start() {
   if (started_) return;
   std::filesystem::create_directories(workdir_);
-  sessions_.resize(spec_.islands);
+  islands_.resize(spec_.islands);
   done_.assign(spec_.islands, false);
   const auto now = Clock::now();
   for (std::size_t i = 0; i < spec_.islands; ++i) {
     done_[i] =
         DurableFile::holds(final_path(workdir_, i), kIslandResultFormatTag);
-    sessions_[i].last_activity = now;
+    islands_[i].last_activity = now;
   }
   if (spawning()) {
-    listener_ = owned_handler_->listen({"127.0.0.1", 0});
-    port_ = owned_handler_->bound_port(listener_);
+    port_ = owned_handler_->bound_port(host_.listen({"127.0.0.1", 0}));
     local_.resize(spec_.islands);
   } else {
-    listener_ = handler().listen(*options_.listen);
+    host_.listen(*options_.listen);
   }
   started_ = true;
 }
@@ -272,180 +260,64 @@ bool NetTransport::finished() const {
 
 std::size_t NetTransport::quarantined_count() const {
   std::size_t count = 0;
-  for (const IslandSession& session : sessions_)
-    if (session.quarantined) ++count;
+  for (const Island& island : islands_)
+    if (island.quarantined) ++count;
   return count;
 }
 
 void NetTransport::touch_activity(std::size_t island) {
-  IslandSession& session = sessions_[island];
-  session.last_activity = Clock::now();
-  session.misses = 0;
+  islands_[island].last_activity = Clock::now();
+  islands_[island].misses = 0;
 }
 
-void NetTransport::observe_acked(IslandSession& session,
-                                 std::uint64_t acked) {
-  if (session.inflight.empty()) return;
-  const auto now = Clock::now();
-  auto& inflight = session.inflight;
-  std::size_t kept = 0;
-  for (auto& entry : inflight) {
-    if (entry.first <= acked) {
-      dist_net_metrics().migration_latency.observe(
-          std::chrono::duration<double>(now - entry.second).count());
-    } else {
-      inflight[kept++] = entry;
-    }
-  }
-  inflight.resize(kept);
-}
-
-NetTransport::IslandSession* NetTransport::find_session(std::size_t island) {
-  IslandSession& session = sessions_[island];
-  if (session.live) return &session;
-  std::optional<net::SessionState> state = net::load_session_state(
-      dist_session_path(workdir_, island), kDistSessionFormatTag);
-  if (!state) return nullptr;
-  if (state->fingerprint != fingerprint_)
-    throw net::ProtocolError(
-        "dist-net: session journal of island " + std::to_string(island) +
-        " was written under a different spec (journaled '" +
-        state->fingerprint + "', running '" + fingerprint_ + "')");
-  session.writer.restore(state->write_acked, state->write_unacked);
-  session.reader.restore(state->read_seq);
-  session.pushed = rounds_from_json(state->app.at("pushed"));
-  session.inbound.partial = state->app.at("partial").as_string();
-  session.inbound.key = state->app.at("partial_key").as_string();
-  session.live = true;
-  dist_net_metrics().sessions_resumed.inc();
-  return &session;
-}
-
-void NetTransport::save_session(std::size_t island) {
-  const IslandSession& session = sessions_[island];
-  net::SessionState state;
-  state.session_id = dist_session_id(island);
-  state.fingerprint = fingerprint_;
-  state.write_acked = session.writer.acked();
-  state.write_unacked = session.writer.unacked();
-  state.read_seq = session.reader.read_seq();
-  util::Json::Object app;
-  app["pushed"] = rounds_to_json(session.pushed);
-  app["partial"] = util::Json(session.inbound.partial);
-  app["partial_key"] = util::Json(session.inbound.key);
-  state.app = util::Json(std::move(app));
-  net::save_session_state(dist_session_path(workdir_, island),
-                          std::move(state), kDistSessionFormatTag);
-}
-
-bool NetTransport::refuse(Conn& conn, const std::string& reason) {
-  net::Frame frame;
-  frame.type = net::FrameType::kRefuse;
-  frame.payload = reason;
-  conn.transport.send_frame(frame);
-  conn.closing = true;  // drain the refusal, then drop
-  dist_net_metrics().refusals.inc();
-  return true;
-}
-
-bool NetTransport::handle_hello(Conn& conn, const net::Frame& frame) {
-  if (frame.payload.size() < 4 + 8)
-    return refuse(conn, "malformed hello frame");
-  const std::uint32_t version = net::get_u32(frame.payload, 0);
-  if (version != net::kProtocolVersion)
-    return refuse(conn, "protocol version " + std::to_string(version) +
-                            " not supported (coordinator speaks " +
-                            std::to_string(net::kProtocolVersion) + ")");
-  const std::uint64_t worker_read_seq = net::get_u64(frame.payload, 4);
-  const std::string id = frame.payload.substr(12);
+std::optional<std::string> NetTransport::admit(const std::string& id) {
   const std::optional<std::size_t> island = parse_dist_session_id(id);
   if (!island.has_value())
-    return refuse(conn, "invalid dist session id '" + id +
-                            "' (expected island-<index>)");
+    return "invalid dist session id '" + id + "' (expected island-<index>)";
   if (*island >= spec_.islands)
-    return refuse(conn, "island " + std::to_string(*island) +
-                            " out of range (spec has " +
-                            std::to_string(spec_.islands) + " islands)");
-  if (sessions_[*island].quarantined)
-    return refuse(conn, "island " + std::to_string(*island) +
-                            " was quarantined after repeated partitions and "
-                            "is being finished inline by the coordinator");
-
-  // A newer connection for an island steals the session from a stale one (a
-  // worker that rebooted while its old socket is still half-open).
-  for (const std::unique_ptr<Conn>& other : connections_) {
-    if (other != nullptr && other.get() != &conn && other->island == *island)
-      other->transport.drop();
-  }
-
-  IslandSession* session = nullptr;
-  try {
-    session = find_session(*island);
-  } catch (const net::ProtocolError& error) {
-    return refuse(conn, error.what());
-  } catch (const util::durable::CheckpointCorruptError& error) {
-    // An unreadable coordinator journal cannot serve this session; the
-    // refusal loop ends in quarantine + inline salvage, which converges.
-    return refuse(conn, std::string("dist-net: session journal corrupt: ") +
-                            error.what());
-  }
-  const auto welcome_tail = [&](net::Frame& welcome) {
-    const std::string spec_json = spec_to_json(spec_).dump(0);
-    net::put_u32(welcome.payload,
-                 static_cast<std::uint32_t>(fingerprint_.size()));
-    welcome.payload += fingerprint_;
-    welcome.payload += spec_json;
-  };
-  if (session == nullptr && done_[*island]) {
-    // The island's result is durable and its session was garbage-collected:
-    // the worker only needs to learn that it is done.
-    net::Frame welcome;
-    welcome.type = net::FrameType::kWelcome;
-    net::put_u64(welcome.payload, net::kSessionCompleted);
-    welcome_tail(welcome);
-    conn.transport.send_frame(welcome);
-    conn.island = *island;
-    conn.handshaken = true;
-    conn.closing = true;
-    return true;
-  }
-  if (session == nullptr && worker_read_seq > 0)
-    // The worker durably consumed stream bytes this coordinator has no
-    // journal for, and the island is not finished — unservable.
-    return refuse(conn, "durable read_seq " + std::to_string(worker_read_seq) +
-                            " for island " + std::to_string(*island) +
-                            " but the coordinator holds no session journal — "
-                            "worker journal and coordinator workdir disagree");
-  if (session == nullptr) {
-    session = &sessions_[*island];
-    session->live = true;
-  }
-  if (worker_read_seq < session->writer.acked() ||
-      worker_read_seq > session->writer.write_seq())
-    return refuse(conn, "durable read_seq " + std::to_string(worker_read_seq) +
-                            " is outside island " + std::to_string(*island) +
-                            " replay window [" +
-                            std::to_string(session->writer.acked()) + ", " +
-                            std::to_string(session->writer.write_seq()) +
-                            "] — worker journal lost or regressed");
-
-  session->writer.ack(worker_read_seq);
-  session->reader.clear_inbox();  // un-consumed bytes come back via replay
-  conn.transport.set_flush_cursor(worker_read_seq);
-
-  net::Frame welcome;
-  welcome.type = net::FrameType::kWelcome;
-  net::put_u64(welcome.payload, session->reader.read_seq());
-  welcome_tail(welcome);
-  conn.transport.send_frame(welcome);
-  conn.island = *island;
-  conn.handshaken = true;
-  touch_activity(*island);
-  return true;
+    return "island " + std::to_string(*island) + " out of range (spec has " +
+           std::to_string(spec_.islands) + " islands)";
+  if (islands_[*island].quarantined)
+    return "island " + std::to_string(*island) +
+           " was quarantined after repeated partitions and is being finished "
+           "inline by the coordinator";
+  return std::nullopt;
 }
 
-bool NetTransport::apply_app_frame(std::size_t island, IslandSession& session,
-                                   const net::Frame& frame) {
+bool NetTransport::completed(const std::string& id, std::uint64_t) {
+  // The island's result is durable and its session was garbage-collected:
+  // the worker only needs to learn that it is done. Without the result, a
+  // worker with a durable read_seq but no coordinator journal is refused.
+  return done_[*parse_dist_session_id(id)];
+}
+
+void NetTransport::welcome_tail(std::string& payload) {
+  net::put_u32(payload, static_cast<std::uint32_t>(fingerprint_.size()));
+  payload += fingerprint_;
+  payload += spec_to_json(spec_).dump(0);
+}
+
+void NetTransport::open(const std::string& id, const util::Json* journaled) {
+  Island& island = islands_[*parse_dist_session_id(id)];
+  island.reset_session();
+  if (journaled == nullptr) return;
+  island.pushed = rounds_from_json(journaled->at("pushed"));
+  island.inbound.partial = journaled->at("partial").as_string();
+  island.inbound.key = journaled->at("partial_key").as_string();
+}
+
+util::Json NetTransport::journal(const std::string& id) {
+  const Island& island = islands_[*parse_dist_session_id(id)];
+  util::Json::Object app;
+  app["pushed"] = rounds_to_json(island.pushed);
+  app["partial"] = util::Json(island.inbound.partial);
+  app["partial_key"] = util::Json(island.inbound.key);
+  return util::Json(std::move(app));
+}
+
+bool NetTransport::apply(const std::string& id, const net::Frame& frame,
+                         net::BackedWriter&) {
+  const std::size_t island = *parse_dist_session_id(id);
   if (frame.type != net::FrameType::kDistMigrants &&
       frame.type != net::FrameType::kDistFinal)
     throw net::ProtocolError(
@@ -461,85 +333,67 @@ bool NetTransport::apply_app_frame(std::size_t island, IslandSession& session,
       chunk.round + 1 >= round_count(spec_))
     throw net::ProtocolError("dist-net: migrant round " +
                              std::to_string(chunk.round) + " out of range");
-  if (!session.inbound.accept(chunk, workdir_) ||
+  if (!islands_[island].inbound.accept(chunk, workdir_) ||
       chunk.type != net::FrameType::kDistFinal)
     return false;
-  // The island result is durable: the session completes (journal GC'd
-  // after the ack in advance_session).
+  // The island result is durable: the session completes.
   done_[island] = true;
   return true;
 }
 
-bool NetTransport::advance_session(Conn& conn) {
-  IslandSession& session = sessions_[conn.island];
-  bool mutated = false;
-  bool completed = false;
-  while (std::optional<net::PeekedFrame> peeked =
-             net::peek_frame(session.reader.inbox())) {
-    completed |= apply_app_frame(conn.island, session, peeked->frame);
-    session.reader.consume(peeked->encoded_size);
-    mutated = true;
-  }
-  if (!mutated) return false;
-  touch_activity(conn.island);
-  if (completed) {
-    // Ack the final so the worker can exit, then garbage-collect. A lost
-    // ack is covered by the kSessionCompleted handshake answer.
-    conn.transport.send_frame(ack_frame(session.reader.read_seq()));
-    std::error_code ec;
-    std::filesystem::remove(dist_session_path(workdir_, conn.island), ec);
-    const bool quarantined = session.quarantined;
-    session = IslandSession{};
-    session.quarantined = quarantined;
-    session.last_activity = Clock::now();
-    conn.closing = true;
-    say_("dist-net: island " + std::to_string(conn.island) +
-         " result received; session complete");
-  } else {
-    // save-before-ack: the ack must never outrun the journal.
-    save_session(conn.island);
-    conn.transport.send_frame(ack_frame(session.reader.read_seq()));
-  }
-  return true;
+void NetTransport::close(const std::string& id) {
+  const std::size_t index = *parse_dist_session_id(id);
+  islands_[index].reset_session();
+  touch_activity(index);
+  say_("dist-net: island " + std::to_string(index) +
+       " result received; session complete");
 }
 
-bool NetTransport::push_migrants(Conn& conn) {
-  if (spec_.islands <= 1) return false;
-  IslandSession& session = sessions_[conn.island];
-  if (!session.live) return false;
-  const std::size_t sender = inbound_neighbor(spec_, conn.island);
+void NetTransport::heard(const std::string& id, const net::BackedWriter& out) {
+  const std::size_t index = *parse_dist_session_id(id);
+  // Heartbeats piggyback on acks: a worker deep inside a round keeps
+  // re-sending its current read_seq, and any frame proves the island alive.
+  touch_activity(index);
+  auto& inflight = islands_[index].inflight;
+  if (inflight.empty()) return;
+  const auto now = Clock::now();
+  std::erase_if(inflight, [&](const auto& entry) {
+    if (entry.first > out.acked()) return false;
+    dist_net_metrics().migration_latency.observe(
+        std::chrono::duration<double>(now - entry.second).count());
+    return true;
+  });
+}
+
+bool NetTransport::feed(const std::string& id, net::BackedWriter& out) {
+  const std::size_t island = *parse_dist_session_id(id);
+  Island& state = islands_[island];
+  if (spec_.islands <= 1 || state.quarantined) return false;
+  const std::size_t sender = inbound_neighbor(spec_, island);
   const bool timed = obs::enabled();
   bool appended = false;
   for (std::size_t round = 0; round + 1 < round_count(spec_); ++round) {
-    if (session.pushed.count(round) != 0) continue;
+    if (state.pushed.count(round) != 0) continue;
     const std::string path = migrants_path(workdir_, sender, round);
     if (!DurableFile::holds(path, kMigrantsFormatTag)) continue;
-    const std::string text = DurableFile::read(path, kMigrantsFormatTag);
-    append_blob(session.writer, net::FrameType::kDistMigrants, sender, round,
-                text);
-    session.pushed.insert(round);
+    append_blob(out, net::FrameType::kDistMigrants, sender, round,
+                DurableFile::read(path, kMigrantsFormatTag));
+    state.pushed.insert(round);
     dist_net_metrics().migrant_sets_sent.inc();
-    if (timed)
-      session.inflight.emplace_back(session.writer.write_seq(), Clock::now());
+    if (timed) state.inflight.emplace_back(out.write_seq(), Clock::now());
     appended = true;
   }
-  // Journal the appended bytes before any pump can flush them: a crash
-  // after sending un-journaled bytes would leave the worker's durable
-  // read_seq ahead of the restored writer — an unservable session.
-  if (appended) save_session(conn.island);
   return appended;
 }
 
 void NetTransport::quarantine(std::size_t island, const std::string& reason,
                               DistReport& report) {
-  IslandSession& session = sessions_[island];
-  session.quarantined = true;
+  islands_[island].quarantined = true;
   ++report.workers_quarantined;
   dist_metrics().quarantined.inc();
   dist_net_metrics().quarantines.inc();
   hadas::util::failpoint("dist.salvage");
-  for (const std::unique_ptr<Conn>& conn : connections_)
-    if (conn != nullptr && conn->island == island) conn->transport.drop();
+  host_.disconnect(dist_session_id(island));
   say_("dist: WARNING island " + std::to_string(island) + " quarantined after " +
        reason + "; finishing it inline");
 }
@@ -551,14 +405,14 @@ bool NetTransport::watchdog(DistReport& report) {
   const std::size_t threshold =
       std::max<std::size_t>(1, options_.island_failure_threshold);
   bool progress = false;
-  for (std::size_t island = 0; island < sessions_.size(); ++island) {
-    IslandSession& session = sessions_[island];
-    if (done_[island] || session.quarantined) continue;
+  for (std::size_t island = 0; island < islands_.size(); ++island) {
+    Island& state = islands_[island];
+    if (done_[island] || state.quarantined) continue;
     // A spawned worker that is not running cannot be silent: its restart
     // backoff is ours.
     if (spawning() && local_[island].pid < 0) continue;
-    if (now - session.last_activity <= window) continue;
-    session.last_activity = now;
+    if (now - state.last_activity <= window) continue;
+    state.last_activity = now;
     ++report.heartbeat_misses;
     dist_metrics().heartbeat_misses.inc();
     progress = true;
@@ -570,11 +424,11 @@ bool NetTransport::watchdog(DistReport& report) {
       worker_failed(island, "heartbeat stalled, SIGKILLed", report);
       continue;
     }
-    ++session.misses;
+    ++state.misses;
     say_("dist-net: island " + std::to_string(island) +
-         " heartbeat window missed (" + std::to_string(session.misses) + "/" +
+         " heartbeat window missed (" + std::to_string(state.misses) + "/" +
          std::to_string(threshold) + ")");
-    if (session.misses >= threshold)
+    if (state.misses >= threshold)
       quarantine(island,
                  std::to_string(threshold) +
                      " missed heartbeat windows (partitioned?)",
@@ -586,8 +440,8 @@ bool NetTransport::watchdog(DistReport& report) {
 bool NetTransport::salvage_step() {
   bool progress = false;
   bool ran = false;
-  for (std::size_t island = 0; island < sessions_.size(); ++island) {
-    if (!sessions_[island].quarantined || done_[island]) continue;
+  for (std::size_t island = 0; island < islands_.size(); ++island) {
+    if (!islands_[island].quarantined || done_[island]) continue;
     if (cancelled()) return progress;
     // Dist failpoints stay off: the chaos schedule that broke the workers
     // must not also kill the last-resort recovery. A blocked island waits
@@ -613,7 +467,7 @@ bool NetTransport::salvage_step() {
     // An inline step blocked this loop for seconds; the silence was ours,
     // not the workers' — restart every live island's activity window.
     const auto now = Clock::now();
-    for (IslandSession& session : sessions_) session.last_activity = now;
+    for (Island& island : islands_) island.last_activity = now;
   }
   return progress;
 }
@@ -631,7 +485,7 @@ bool NetTransport::reap_and_spawn(DistReport& report) {
       // A worker exits 0 only after the ack of its durable result, so an
       // island still open here lost its worker.
       if (!done_[island]) worker_failed(island, describe_exit(status), report);
-    } else if (!done_[island] && !sessions_[island].quarantined &&
+    } else if (!done_[island] && !islands_[island].quarantined &&
                now >= worker.next_start) {
       spawn_worker(island, report);
       progress = true;
@@ -691,7 +545,7 @@ void NetTransport::spawn_worker(std::size_t island, DistReport& report) {
     ::_exit(127);
   }
   worker.pid = pid;
-  sessions_[island].last_activity = Clock::now();
+  islands_[island].last_activity = Clock::now();
   ++report.workers_spawned;
   dist_metrics().spawned.inc();
   if (respawn) {
@@ -757,81 +611,8 @@ void NetTransport::stop_workers(std::chrono::milliseconds grace) {
 }
 
 bool NetTransport::step(DistReport& report) {
-  if (!started_) start();
-  bool progress = false;
-  while (std::unique_ptr<net::Socket> socket = handler().accept(listener_)) {
-    auto conn = std::make_unique<Conn>();
-    conn->transport.attach(std::move(socket));
-    connections_.push_back(std::move(conn));
-    progress = true;
-  }
-  // Dead slots are nulled in place (never reordered) so handle_hello's
-  // session-steal scan sees every still-live connection during the pass;
-  // the vector is compacted once at the end.
-  for (std::size_t i = 0; i < connections_.size(); ++i) {
-    Conn& conn = *connections_[i];
-    bool alive = true;
-    try {
-      const auto writer_of = [&]() -> const net::BackedWriter& {
-        return conn.handshaken && sessions_[conn.island].live
-                   ? sessions_[conn.island].writer
-                   : empty_writer();
-      };
-      alive = conn.transport.pump(writer_of());
-      bool ok = true;
-      std::optional<net::Frame> frame;
-      while (ok && !conn.closing && (frame = conn.transport.next())) {
-        progress = true;
-        if (!conn.handshaken) {
-          ok = frame->type == net::FrameType::kHello &&
-               handle_hello(conn, *frame);
-        } else if (frame->type == net::FrameType::kData) {
-          if (frame->payload.size() < 8)
-            throw net::ProtocolError("dist-net: malformed data frame");
-          sessions_[conn.island].reader.offer(
-              net::get_u64(frame->payload, 0),
-              std::string_view(frame->payload).substr(8));
-          touch_activity(conn.island);
-        } else if (frame->type == net::FrameType::kAck) {
-          IslandSession& session = sessions_[conn.island];
-          session.writer.ack(net::get_u64(frame->payload, 0));
-          observe_acked(session, session.writer.acked());
-          // Heartbeats piggyback on acks: a worker deep inside a round
-          // keeps re-sending its current read_seq, and any ack — novel or
-          // duplicate — proves the island alive.
-          touch_activity(conn.island);
-        } else {
-          throw net::ProtocolError(
-              std::string("dist-net: unexpected transport frame '") +
-              net::frame_type_name(frame->type) + "'");
-        }
-      }
-      if (ok && conn.handshaken && !conn.closing &&
-          sessions_[conn.island].live)
-        progress |= advance_session(conn);
-      if (ok && conn.handshaken && !conn.closing &&
-          !sessions_[conn.island].quarantined)
-        progress |= push_migrants(conn);
-      if (!ok) alive = false;
-      if (alive) alive = conn.transport.pump(writer_of());
-    } catch (const net::ProtocolError& error) {
-      say_("dist-net: connection error: " + std::string(error.what()));
-      alive = false;
-    } catch (const net::FrameError&) {
-      alive = false;
-    }
-    if (!alive) {
-      conn.transport.drop();
-      connections_[i] = nullptr;  // dies; session state stays for a resume
-      progress = true;
-    } else if (conn.closing && conn.transport.outbox_size() == 0) {
-      conn.transport.drop();
-      connections_[i] = nullptr;
-      progress = true;
-    }
-  }
-  std::erase_if(connections_,
-                [](const std::unique_ptr<Conn>& c) { return c == nullptr; });
+  start();
+  bool progress = host_.step();
   if (spawning()) progress |= reap_and_spawn(report);
   progress |= watchdog(report);
   progress |= salvage_step();
@@ -859,12 +640,12 @@ bool NetTransport::supervise(DistReport& report) {
     if (finished()) {
       // Drain: closing connections still hold final acks the workers need
       // to exit; keep pumping briefly, then stop accepting new work.
-      if (connections_.empty() && !workers_running()) break;
+      if (host_.connection_count() == 0 && !workers_running()) break;
       if (!finished_at.has_value()) finished_at = Clock::now();
       if (Clock::now() - *finished_at > std::chrono::seconds(5)) break;
     }
     if (!progress)
-      handler().wait(
+      host_.wait(
           static_cast<int>(std::max<std::size_t>(1, options_.poll_ms)));
   }
   return true;

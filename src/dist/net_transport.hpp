@@ -13,9 +13,9 @@
 
 #include "dist/coordinator.hpp"
 #include "net/backed_stream.hpp"
-#include "net/connection.hpp"
 #include "net/frame.hpp"
 #include "net/session.hpp"
+#include "net/session_host.hpp"
 #include "net/socket.hpp"
 #include "obs/metrics.hpp"
 #include "supernet/search_space.hpp"
@@ -23,24 +23,18 @@
 namespace hadas::dist {
 
 /// --- Dist-net wire protocol: how the island artifacts of src/dist ride
-/// the resumable stream of src/net.
+/// the resumable sessions of src/net.
 ///
 /// Each island is one session ("island-<i>") between a `hadas worker
-/// --connect` process (spawned locally or dialing in from another host) and
-/// the coordinator's NetTransport. The handshake is
-/// the serve protocol's HELLO/WELCOME (same kRefuse semantics), except the
-/// WELCOME also carries the DistSpec, so a net worker needs nothing but the
-/// endpoint, its island index and a local state directory. Durable
-/// artifacts flow as app-layer frames *inside* the BackedReader/BackedWriter
-/// logical stream — migrant files upstream and downstream, the island
-/// result upstream — chunked under the frame payload cap and carrying the
-/// exact durable-file payload text, which the receiver writes verbatim
-/// (same format tag), so every file is byte-identical to what an inline run
-/// writes. Both ends obey the save-before-ack invariant: a
-/// chunk is acked only after the receiving side journaled its consumption
-/// (and, for a completed blob, durably wrote the artifact), so a killed
-/// worker, a severed link or a restarted coordinator never loses or
-/// duplicates a migrant.
+/// --connect` (a net::SessionEndpoint) and the coordinator's NetTransport
+/// (a net::SessionHost). The WELCOME tail carries the DistSpec, so a worker
+/// needs only the endpoint, its island and a state directory. Migrant files
+/// (both ways) and the island result (upstream) are app frames inside the
+/// logical stream, chunked under the frame payload cap and carrying the
+/// exact durable-file payload, which the receiver writes verbatim: every
+/// file is byte-identical to what an inline run writes. Under
+/// save-before-ack, a killed worker, a severed link or a restarted
+/// coordinator never loses or duplicates a migrant.
 
 /// Durable-envelope format tag of dist-net session journals (worker and
 /// coordinator side share the layout; `hadas verify-checkpoint` triages it).
@@ -104,9 +98,6 @@ struct ChunkRun {
   bool accept(const DistChunk& chunk, const std::string& dir);
 };
 
-/// The kAck frame reporting `read_seq` stream bytes durably consumed.
-net::Frame ack_frame(std::uint64_t read_seq);
-
 /// A journaled set of migration rounds (pushed down / uploaded) as JSON.
 util::Json rounds_to_json(const std::set<std::size_t>& rounds);
 std::set<std::size_t> rounds_from_json(const util::Json& json);
@@ -166,7 +157,7 @@ DistNetMetrics& dist_net_metrics();
 /// because its ring successor may be a healthy worker blocked on exactly
 /// those migrants. A killed coordinator restarts, reloads every session
 /// journal on the next HELLO and converges byte-identically.
-class NetTransport {
+class NetTransport : private net::SessionHost::App {
  public:
   NetTransport(DistSpec spec, std::string workdir, const DistOptions& options,
                std::function<void(const std::string&)> say);
@@ -184,30 +175,27 @@ class NetTransport {
   /// Every island's final result file in the workdir is valid.
   bool finished() const;
   std::size_t quarantined_count() const;
-  std::size_t connection_count() const { return connections_.size(); }
+  std::size_t connection_count() const { return host_.connection_count(); }
 
  private:
   using Clock = std::chrono::steady_clock;
 
-  struct IslandSession {
-    net::BackedWriter writer;
-    net::BackedReader reader;
+  /// The coordinator's record of one island: what its session journals
+  /// (reset whenever a session starts or completes) and its liveness.
+  struct Island {
     std::set<std::size_t> pushed;  ///< inbound rounds queued down the stream
     ChunkRun inbound;
-    bool live = false;  ///< in-memory state materialized (fresh or restored)
-    bool quarantined = false;
-    std::size_t misses = 0;
-    Clock::time_point last_activity{};
     /// (stream offset after a queued migrant set, queue time) — matched
     /// against worker acks for the migration-latency histogram.
     std::vector<std::pair<std::uint64_t, Clock::time_point>> inflight;
-  };
-
-  struct Conn {
-    net::Transport transport;
-    std::size_t island = static_cast<std::size_t>(-1);
-    bool handshaken = false;
-    bool closing = false;
+    bool quarantined = false;
+    void reset_session() {
+      pushed.clear();
+      inbound = ChunkRun{};
+      inflight.clear();
+    }
+    std::size_t misses = 0;
+    Clock::time_point last_activity{};
   };
 
   /// One spawned worker slot (spawn mode only).
@@ -218,16 +206,22 @@ class NetTransport {
   };
 
   bool spawning() const { return !options_.listen.has_value(); }
-  net::SocketHandler& handler();
   bool cancelled() const;
-  IslandSession* find_session(std::size_t island);
-  void save_session(std::size_t island);
-  bool refuse(Conn& conn, const std::string& reason);
-  bool handle_hello(Conn& conn, const net::Frame& frame);
-  bool apply_app_frame(std::size_t island, IslandSession& session,
-                       const net::Frame& frame);
-  bool advance_session(Conn& conn);
-  bool push_migrants(Conn& conn);
+
+  // SessionHost::App: one session per island; an island completes when its
+  // result is durable, and every ack or data frame is a heartbeat.
+  std::optional<std::string> admit(const std::string& id) override;
+  bool completed(const std::string& id, std::uint64_t peer_read_seq) override;
+  void welcome_tail(std::string& payload) override;
+  void open(const std::string& id, const util::Json* journaled) override;
+  util::Json journal(const std::string& id) override;
+  bool apply(const std::string& id, const net::Frame& frame,
+             net::BackedWriter& out) override;
+  void close(const std::string& id) override;
+  /// Push the island's inbound migrants as its sender's uploads land.
+  bool feed(const std::string& id, net::BackedWriter& out) override;
+  void heard(const std::string& id, const net::BackedWriter& out) override;
+
   void quarantine(std::size_t island, const std::string& reason,
                   DistReport& report);
   bool watchdog(DistReport& report);
@@ -238,7 +232,6 @@ class NetTransport {
                      DistReport& report);
   void stop_workers(std::chrono::milliseconds grace);
   void touch_activity(std::size_t island);
-  void observe_acked(IslandSession& session, std::uint64_t acked);
 
   DistSpec spec_;
   std::string workdir_;
@@ -247,13 +240,12 @@ class NetTransport {
   std::string fingerprint_;
   supernet::SearchSpace space_;
   std::unique_ptr<net::TcpSocketHandler> owned_handler_;
-  std::vector<IslandSession> sessions_;
+  std::vector<Island> islands_;
   std::vector<bool> done_;
-  std::vector<std::unique_ptr<Conn>> connections_;
   std::vector<LocalWorker> local_;
-  int listener_ = -1;
   std::uint16_t port_ = 0;  ///< spawn mode: where the children dial
   bool started_ = false;
+  net::SessionHost host_;
 };
 
 }  // namespace hadas::dist

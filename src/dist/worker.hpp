@@ -11,7 +11,7 @@
 
 #include "dist/island.hpp"
 #include "dist/net_transport.hpp"
-#include "net/connection.hpp"
+#include "net/session_endpoint.hpp"
 #include "net/socket.hpp"
 #include "util/strutil.hpp"
 
@@ -71,7 +71,7 @@ struct NetWorkerConfig {
 /// dist.heartbeat on every beat() call (before its rate limit);
 /// HADAS_DIST_HANG="<island>:<round>" (see step_island) freezes the worker,
 /// silent, before that round until it is killed or cancelled.
-class NetWorker {
+class NetWorker : private net::SessionEndpoint::App {
  public:
   /// `handler` selects the socket fabric (nullptr = real TCP sockets).
   NetWorker(net::SocketHandler* handler, NetWorkerConfig config);
@@ -80,10 +80,10 @@ class NetWorker {
   /// work. Returns true when anything progressed. Throws
   /// net::ProtocolError when the coordinator refused the session or the
   /// durable state of the two ends disagrees.
-  bool step();
+  bool step() { return endpoint_.step(); }
 
-  bool done() const { return done_; }
-  std::size_t reconnects() const { return reconnects_; }
+  bool done() const { return endpoint_.done(); }
+  std::size_t reconnects() const { return endpoint_.reconnects(); }
   bool spec_received() const { return spec_.has_value(); }
 
   /// Blocking loop; returns a kWorkerExit* code. Throws net::ConnectError
@@ -94,37 +94,28 @@ class NetWorker {
  private:
   using Clock = std::chrono::steady_clock;
 
-  net::SocketHandler& handler();
   bool cancelled() const;
-  void save();
-  void restore();
-  void adopt_spec(const std::string& spec_json);
-  bool try_connect();
-  void handle_welcome(const net::Frame& frame);
-  bool advance();
-  bool work_step();
   void beat();
-  void complete();
+
+  // SessionEndpoint::App: the WELCOME tail is u32 length + fingerprint +
+  // spec JSON; pushed migrant blobs land in the state directory; the last
+  // message is the island result; work() runs the island.
+  std::string welcome_fingerprint(const std::string& payload,
+                                  std::size_t at) override;
+  void welcomed(const std::string& payload, std::size_t at) override;
+  void apply(const net::Frame& frame) override;
+  util::Json journal() override;
+  bool last_sent() const override { return final_sent_; }
+  bool work() override;
 
   NetWorkerConfig config_;
   std::unique_ptr<net::SocketHandler> owned_handler_;
-  net::SocketHandler* handler_ = nullptr;
-  std::string state_path_;
-  net::Transport transport_;
-  net::BackedWriter writer_;
-  net::BackedReader reader_;
-  std::string fingerprint_;
+  net::SessionEndpoint endpoint_;
   std::optional<DistSpec> spec_;
   std::optional<supernet::SearchSpace> space_;
   std::set<std::size_t> sent_;  ///< outbound migrant rounds already queued
   bool final_sent_ = false;
   ChunkRun inbound_;
-  bool handshaken_ = false;
-  bool connected_once_ = false;
-  bool done_ = false;
-  std::size_t connect_failures_ = 0;
-  std::size_t handshake_failures_ = 0;
-  std::size_t reconnects_ = 0;
   Clock::time_point last_beat_{};
 };
 

@@ -3,8 +3,7 @@
 #include <cstdint>
 #include <string>
 
-#include "net/connection.hpp"
-#include "net/session.hpp"
+#include "net/session_endpoint.hpp"
 #include "net/socket.hpp"
 #include "runtime/serve/traffic.hpp"
 
@@ -47,7 +46,7 @@ struct ClientConfig {
 ///
 /// Like the daemon it is non-blocking: step() performs one round, run()
 /// loops until done() with handler.wait() in between.
-class ServeClient {
+class ServeClient : private SessionEndpoint::App {
  public:
   ServeClient(SocketHandler& handler, ClientConfig config);
 
@@ -56,53 +55,45 @@ class ServeClient {
   /// run() (step() counts failed attempts silently); throws ProtocolError
   /// on a server kRefuse or after max_handshake_failures consecutive
   /// connections died before completing a handshake.
-  bool step();
+  bool step() { return endpoint_.step(); }
 
   /// step() until done(). Throws ConnectError after max_connect_attempts
   /// consecutive failures.
   void run();
 
-  bool done() const { return done_; }
+  bool done() const { return endpoint_.done(); }
   /// The complete ServeReport JSON text (valid once done()).
   const std::string& report() const { return report_; }
   /// The server's config fingerprint (valid after the first handshake).
-  const std::string& server_fingerprint() const { return fingerprint_; }
-  std::size_t reconnects() const { return reconnects_; }
-  std::size_t connect_failures() const { return connect_failures_; }
-  std::size_t handshake_failures() const { return handshake_failures_; }
+  const std::string& server_fingerprint() const {
+    return endpoint_.fingerprint();
+  }
+  std::size_t reconnects() const { return endpoint_.reconnects(); }
+  std::size_t connect_failures() const { return endpoint_.connect_failures(); }
+  std::size_t handshake_failures() const {
+    return endpoint_.handshake_failures();
+  }
 
  private:
-  void save();
-  void restore();
-  bool try_connect();
-  void handle_welcome(const Frame& frame);
-  /// Consume app frames (report chunks) from the inbox; saves + acks when
-  /// anything was consumed.
-  bool advance();
   /// Queue the whole request trace + kFinish into the backed writer.
   void generate_requests();
 
-  SocketHandler& handler_;
-  ClientConfig config_;
+  // SessionEndpoint::App: the WELCOME tail is u64 sample_count + the
+  // fingerprint; report frames accumulate the report, whose end queues BYE.
+  std::string welcome_fingerprint(const std::string& payload,
+                                  std::size_t at) override;
+  void welcomed(const std::string& payload, std::size_t at) override;
+  void apply(const Frame& frame) override;
+  util::Json journal() override;
+  bool last_sent() const override { return report_complete_; }
 
-  Transport transport_;
-  BackedWriter writer_;
-  BackedReader reader_;
-  bool handshaken_ = false;
-  bool connected_once_ = false;
+  ClientConfig config_;
+  SessionEndpoint endpoint_;
 
   // Durable app state (journaled alongside the stream offsets).
-  bool requests_queued_ = false;
-  bool report_complete_ = false;
-  bool bye_sent_ = false;
+  bool report_complete_ = false;  ///< and BYE queued
   std::string report_;
-  std::string fingerprint_;
   std::uint64_t sample_count_ = 0;
-
-  bool done_ = false;
-  std::size_t reconnects_ = 0;
-  std::size_t connect_failures_ = 0;
-  std::size_t handshake_failures_ = 0;
 };
 
 }  // namespace hadas::net

@@ -55,7 +55,6 @@ class Transport {
     cursor_ = offset;
     streaming_ = true;
   }
-  std::uint64_t flush_cursor() const { return cursor_; }
 
   /// Move bytes both ways without blocking: cut kData frames from
   /// `writer` at the flush cursor, push the outbox into the socket, pull

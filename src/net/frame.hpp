@@ -15,7 +15,7 @@ namespace hadas::net {
 enum class FrameType : std::uint8_t {
   // --- transport (raw socket) ---
   kHello = 1,    ///< client -> server: proto version, durable read_seq, session id
-  kWelcome = 2,  ///< server -> client: durable read_seq, sample count, fingerprint
+  kWelcome = 2,  ///< server -> client: durable read_seq + the application's tail
   kData = 3,     ///< either way: u64 stream offset + chunk bytes
   kAck = 4,      ///< either way: u64 durably-consumed stream offset
   kRefuse = 5,   ///< server -> client: handshake rejected, reason text

@@ -3,12 +3,10 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "net/connection.hpp"
-#include "net/session.hpp"
+#include "net/session_host.hpp"
 #include "net/socket.hpp"
 #include "runtime/serve/bridge.hpp"
 
@@ -23,28 +21,23 @@ struct DaemonConfig {
   std::size_t once = 0;
 };
 
-/// The hadasd serving daemon: accepts any number of concurrent client
-/// connections on one SocketHandler, speaks the resumable session protocol
-/// (HELLO/WELCOME handshake, offset-tagged DATA, durable-ack), and bridges
-/// completed request traces into a ServeService.
-///
-/// Zero request loss: every application-level mutation (requests received,
-/// report queued, session finished) is journaled via util/durable *before*
-/// the covering ACK leaves the process, so a kill -9 at any instruction
-/// loses at most unacknowledged bytes — which the client still retains and
-/// replays on reconnect. Chaos tests byte-compare the resulting ServeReport
-/// against an uninterrupted run.
+/// The hadasd serving daemon: the serving application on a SessionHost,
+/// which speaks the resumable session protocol to any number of clients.
+/// Requests stream in as kRequestBatch frames; kFinish runs the trace
+/// through the ServeService and queues the report as kReportChunk frames;
+/// BYE completes the session. Every mutation is journaled before the
+/// covering ACK leaves, so a kill -9 at any instruction loses nothing the
+/// client does not replay, and the report stays byte-identical.
 ///
 /// Single-threaded and non-blocking: step() performs one multiplexing round
-/// over all connections and returns whether anything moved; run() loops
-/// step() with handler.wait() in between. Tests drive step() directly for
-/// deterministic interleaving.
-class ServeDaemon {
+/// and returns whether anything moved; run() loops step() with waits in
+/// between. Tests drive step() directly for deterministic interleaving.
+class ServeDaemon : private SessionHost::App {
  public:
   ServeDaemon(SocketHandler& handler,
               const runtime::serve::ServeService& service,
               DaemonConfig config);
-  ~ServeDaemon();
+  ~ServeDaemon() = default;
 
   /// Open the listening socket. Called by run() if not already started.
   void start();
@@ -60,51 +53,32 @@ class ServeDaemon {
   /// Ask run() to return (safe from another thread or a signal handler).
   void request_stop() { stop_.store(true, std::memory_order_relaxed); }
 
-  std::size_t sessions_completed() const { return completed_; }
-  std::size_t active_connections() const { return connections_.size(); }
-  std::size_t active_sessions() const { return sessions_.size(); }
+  std::size_t sessions_completed() const { return host_.completed_count(); }
+  std::size_t active_connections() const { return host_.connection_count(); }
+  std::size_t active_sessions() const { return host_.session_count(); }
 
  private:
-  /// Server half of one resumable session.
+  /// What one session journals beside its stream offsets.
   struct Session {
-    BackedWriter writer;
-    BackedReader reader;
     std::vector<runtime::serve::RemoteRequest> requests;
     bool finished = false;  ///< kFinish consumed; report queued in writer
   };
 
-  struct Conn {
-    Transport transport;
-    std::string session_id;  ///< empty until HELLO binds a session
-    bool handshaken = false;
-    bool closing = false;  ///< drain the outbox, then drop
-  };
+  // SessionHost::App: any valid id is admitted; a peer that consumed report
+  // bytes of a session with no journal was served to the end.
+  bool completed(const std::string& id, std::uint64_t peer_read_seq) override;
+  void welcome_tail(std::string& payload) override;
+  void open(const std::string& id, const util::Json* journaled) override;
+  util::Json journal(const std::string& id) override;
+  bool apply(const std::string& id, const Frame& frame,
+             BackedWriter& out) override;
+  void close(const std::string& id) override;
 
-  std::string session_path(const std::string& id) const;
-  void save_session(const std::string& id, const Session& session);
-  /// In-memory session, falling back to the journal on disk; nullptr when
-  /// the id is unknown everywhere (fresh or already completed).
-  Session* find_session(const std::string& id);
-  bool handle_hello(Conn& conn, const Frame& frame);
-  /// Queue a kRefuse with `reason` and mark the connection closing (the
-  /// refusal drains, then the socket drops). Returns true: a refusal is a
-  /// handled handshake, not a protocol violation by us.
-  bool refuse(Conn& conn, const std::string& reason);
-  /// Apply complete app frames from the session's inbox; journals and acks
-  /// when anything was consumed. Returns true on progress.
-  bool advance_session(Conn& conn);
-  void apply_app_frame(const std::string& id, Session& session,
-                       const Frame& frame, bool& completed);
-
-  SocketHandler& handler_;
   const runtime::serve::ServeService& service_;
   DaemonConfig config_;
-  int listener_ = -1;
-  bool started_ = false;
   std::atomic<bool> stop_{false};
-  std::vector<std::unique_ptr<Conn>> connections_;
   std::map<std::string, Session> sessions_;
-  std::size_t completed_ = 0;
+  SessionHost host_;
 };
 
 }  // namespace hadas::net

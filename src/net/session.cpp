@@ -56,6 +56,49 @@ std::optional<SessionState> load_session_state(const std::string& path,
                                       session_state_from_json);
 }
 
+std::string session_journal_path(const std::string& dir,
+                                 const std::string& id) {
+  return dir + "/session-" + id + ".json";
+}
+
+Frame ack_frame(std::uint64_t read_seq) {
+  Frame frame;
+  frame.type = FrameType::kAck;
+  put_u64(frame.payload, read_seq);
+  return frame;
+}
+
+void route_frame(const Frame& frame, BackedReader& reader,
+                 BackedWriter& writer, const std::string& label) {
+  if (frame.type == FrameType::kAck)
+    return writer.ack(get_u64(frame.payload, 0));
+  if (frame.type != FrameType::kData)
+    throw ProtocolError(label + ": unexpected transport frame '" +
+                        frame_type_name(frame.type) + "'");
+  if (frame.payload.size() < 8)
+    throw ProtocolError(label + ": malformed data frame");
+  reader.offer(get_u64(frame.payload, 0),
+               std::string_view(frame.payload).substr(8));
+}
+
+bool resume_streams(std::uint64_t peer_read_seq, BackedWriter& writer,
+                    BackedReader& reader, Transport& transport,
+                    bool count_replay) {
+  if (peer_read_seq < writer.acked() || peer_read_seq > writer.write_seq())
+    return false;
+  // The peer's durable read_seq doubles as an ack: everything below it is
+  // safely on its disk.
+  writer.ack(peer_read_seq);
+  if (count_replay) {
+    const std::uint64_t replay = writer.write_seq() - peer_read_seq;
+    net_metrics().bytes_replayed.inc(replay);
+    net_metrics().replay_bytes.observe(static_cast<double>(replay));
+  }
+  reader.clear_inbox();
+  transport.set_flush_cursor(peer_read_seq);
+  return true;
+}
+
 bool valid_session_id(const std::string& id) {
   if (id.empty() || id.size() > 64 || id.front() == '.') return false;
   for (char c : id) {

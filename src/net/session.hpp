@@ -5,6 +5,8 @@
 #include <string>
 
 #include "net/backed_stream.hpp"
+#include "net/connection.hpp"
+#include "net/frame.hpp"
 #include "obs/metrics.hpp"
 #include "util/json.hpp"
 
@@ -28,11 +30,11 @@ inline constexpr std::uint64_t kSessionCompleted = ~std::uint64_t{0};
 ///   - the write side's acked offset + retained unacked bytes (hex in the
 ///     JSON payload — they are arbitrary binary),
 ///   - the read side's durably-consumed offset,
-///   - the server's config fingerprint (a resumed client refuses a server
-///     whose serving configuration changed under it),
-///   - an endpoint-specific `app` document (the client keeps its request
-///     cursor and accumulated report bytes; the server keeps the received
-///     request records and whether the report was generated).
+///   - the host's config fingerprint (a resumed endpoint refuses a host
+///     whose configuration changed under it, and a host a journal of
+///     another configuration),
+///   - the application's `app` document (SessionHost::App::journal,
+///     SessionEndpoint::App::journal).
 ///
 /// The invariant that makes resume loss-free: an endpoint sends ACK(n) only
 /// after a successful save() with read_seq == n, so every acknowledged byte
@@ -62,6 +64,28 @@ void save_session_state(const std::string& path, SessionState state,
 /// Throws util::durable::CheckpointCorruptError on a corrupt journal.
 std::optional<SessionState> load_session_state(
     const std::string& path, const char* format_tag = kSessionFormatTag);
+
+/// `<dir>/session-<id>.json`: where a host journals session `id`.
+std::string session_journal_path(const std::string& dir, const std::string& id);
+
+/// The kAck frame reporting `read_seq` stream bytes durably consumed.
+Frame ack_frame(std::uint64_t read_seq);
+
+/// Route a transport frame of a handshaken connection into its session's
+/// stream ends: kData into `reader`, kAck into `writer`. Throws
+/// ProtocolError, prefixed by `label`, on a short kData or any other type.
+void route_frame(const Frame& frame, BackedReader& reader,
+                 BackedWriter& writer, const std::string& label);
+
+/// Resume a session's streams on a new connection whose peer durably holds
+/// `peer_read_seq` bytes of `writer`'s stream. False, changing nothing, when
+/// that is outside the replay window [writer.acked(), writer.write_seq()]
+/// (the peer's journal was lost or regressed). Otherwise acks it, drops the
+/// unconsumed inbox (the peer replays it), points the transport's flush
+/// cursor at it and, with `count_replay`, counts the replay.
+bool resume_streams(std::uint64_t peer_read_seq, BackedWriter& writer,
+                    BackedReader& reader, Transport& transport,
+                    bool count_replay);
 
 /// True for session ids safe to embed in a file name ([A-Za-z0-9._-]{1,64},
 /// not starting with a dot).

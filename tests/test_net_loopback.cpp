@@ -418,6 +418,37 @@ TEST(NetLoopback, LostClientJournalIsRefusedLoudly) {
   EXPECT_EQ(daemon.active_sessions(), 1u);
 }
 
+// A session journal the daemon cannot read is that session's problem only:
+// the daemon refuses its HELLO, naming the corruption, and keeps serving
+// every other session.
+TEST(NetLoopback, CorruptSessionJournalIsRefusedNotFatal) {
+  Loopback loop("corrupt_journal");
+  std::ofstream(loop.dir + "/session-bad.json") << "not a durable envelope\n";
+  ServeDaemon daemon(loop.handler, loop.service, loop.daemon_config());
+  daemon.start();
+  ServeClient bad(loop.handler, loop.client_config("bad"));
+  ServeClient healthy(loop.handler, loop.client_config("healthy"));
+
+  std::string refusal;
+  for (int i = 0; i < 20000 && !healthy.done(); ++i) {
+    if (refusal.empty()) {
+      try {
+        bad.step();
+      } catch (const net::ProtocolError& error) {
+        refusal = error.what();
+      }
+    }
+    healthy.step();
+    ASSERT_NO_THROW(daemon.step());
+  }
+  EXPECT_NE(refusal.find("refused"), std::string::npos) << refusal;
+  EXPECT_NE(refusal.find("corrupt"), std::string::npos) << refusal;
+  ASSERT_TRUE(healthy.done());
+  EXPECT_EQ(healthy.report(),
+            expected_report(loop.service, loop.client_config("x")));
+  EXPECT_EQ(daemon.sessions_completed(), 1u);
+}
+
 // A server that accepts and hangs up without ever completing a handshake
 // (no WELCOME, no kRefuse — e.g. a pre-refusal build) must not look like an
 // endless stream of clean reconnects.
