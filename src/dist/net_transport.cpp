@@ -236,10 +236,9 @@ void NetTransport::start() {
   if (started_) return;
   std::filesystem::create_directories(workdir_);
   islands_.resize(spec_.islands);
-  done_.assign(spec_.islands, false);
   const auto now = Clock::now();
   for (std::size_t i = 0; i < spec_.islands; ++i) {
-    done_[i] =
+    islands_[i].done =
         DurableFile::holds(final_path(workdir_, i), kIslandResultFormatTag);
     islands_[i].last_activity = now;
   }
@@ -253,9 +252,9 @@ void NetTransport::start() {
 }
 
 bool NetTransport::finished() const {
-  for (std::size_t i = 0; i < done_.size(); ++i)
-    if (!done_[i]) return false;
-  return !done_.empty();
+  for (const Island& island : islands_)
+    if (!island.done) return false;
+  return !islands_.empty();
 }
 
 std::size_t NetTransport::quarantined_count() const {
@@ -285,10 +284,9 @@ std::optional<std::string> NetTransport::admit(const std::string& id) {
 }
 
 bool NetTransport::completed(const std::string& id, std::uint64_t) {
-  // The island's result is durable and its session was garbage-collected:
-  // the worker only needs to learn that it is done. Without the result, a
-  // worker with a durable read_seq but no coordinator journal is refused.
-  return done_[*parse_dist_session_id(id)];
+  // Only a durable result completes an island: a worker with a durable
+  // read_seq but no coordinator journal and no result is refused.
+  return islands_[*parse_dist_session_id(id)].done;
 }
 
 void NetTransport::welcome_tail(std::string& payload) {
@@ -337,7 +335,7 @@ bool NetTransport::apply(const std::string& id, const net::Frame& frame,
       chunk.type != net::FrameType::kDistFinal)
     return false;
   // The island result is durable: the session completes.
-  done_[island] = true;
+  islands_[island].done = true;
   return true;
 }
 
@@ -407,7 +405,7 @@ bool NetTransport::watchdog(DistReport& report) {
   bool progress = false;
   for (std::size_t island = 0; island < islands_.size(); ++island) {
     Island& state = islands_[island];
-    if (done_[island] || state.quarantined) continue;
+    if (state.done || state.quarantined) continue;
     // A spawned worker that is not running cannot be silent: its restart
     // backoff is ours.
     if (spawning() && local_[island].pid < 0) continue;
@@ -441,7 +439,7 @@ bool NetTransport::salvage_step() {
   bool progress = false;
   bool ran = false;
   for (std::size_t island = 0; island < islands_.size(); ++island) {
-    if (!islands_[island].quarantined || done_[island]) continue;
+    if (!islands_[island].quarantined || islands_[island].done) continue;
     if (cancelled()) return progress;
     // Dist failpoints stay off: the chaos schedule that broke the workers
     // must not also kill the last-resort recovery. A blocked island waits
@@ -450,7 +448,7 @@ bool NetTransport::salvage_step() {
     switch (step_island(space_, spec_, workdir_, island,
                         /*failpoints_on=*/false, options_.cancel)) {
       case IslandStep::kFinished:
-        done_[island] = true;
+        islands_[island].done = true;
         progress = true;
         break;
       case IslandStep::kAdvanced:
@@ -484,8 +482,9 @@ bool NetTransport::reap_and_spawn(DistReport& report) {
       progress = true;
       // A worker exits 0 only after the ack of its durable result, so an
       // island still open here lost its worker.
-      if (!done_[island]) worker_failed(island, describe_exit(status), report);
-    } else if (!done_[island] && !islands_[island].quarantined &&
+      if (!islands_[island].done)
+        worker_failed(island, describe_exit(status), report);
+    } else if (!islands_[island].done && !islands_[island].quarantined &&
                now >= worker.next_start) {
       spawn_worker(island, report);
       progress = true;

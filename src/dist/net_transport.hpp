@@ -188,6 +188,7 @@ class NetTransport : private net::SessionHost::App {
     /// (stream offset after a queued migrant set, queue time) — matched
     /// against worker acks for the migration-latency histogram.
     std::vector<std::pair<std::uint64_t, Clock::time_point>> inflight;
+    bool done = false;  ///< the island result is durable in the workdir
     bool quarantined = false;
     void reset_session() {
       pushed.clear();
@@ -241,7 +242,6 @@ class NetTransport : private net::SessionHost::App {
   supernet::SearchSpace space_;
   std::unique_ptr<net::TcpSocketHandler> owned_handler_;
   std::vector<Island> islands_;
-  std::vector<bool> done_;
   std::vector<LocalWorker> local_;
   std::uint16_t port_ = 0;  ///< spawn mode: where the children dial
   bool started_ = false;

@@ -197,11 +197,6 @@ NetWorker::NetWorker(net::SocketHandler* handler, NetWorkerConfig config)
   }
 }
 
-bool NetWorker::cancelled() const {
-  return config_.cancel != nullptr &&
-         config_.cancel->load(std::memory_order_relaxed);
-}
-
 util::Json NetWorker::journal() {
   util::Json::Object app;
   app["sent"] = rounds_to_json(sent_);
@@ -339,7 +334,7 @@ int NetWorker::run() {
   hadas::util::failpoint("dist.worker.start");
   auto last_progress = Clock::now();
   while (!done()) {
-    if (cancelled()) return kWorkerExitInterrupted;
+    if (cancelled(config_.cancel)) return kWorkerExitInterrupted;
     if (endpoint_.connect_failures() >= config_.max_connect_attempts)
       throw net::ConnectError(
           "NetWorker: cannot reach " + config_.connect.host + ":" +

@@ -94,7 +94,6 @@ class NetWorker : private net::SessionEndpoint::App {
  private:
   using Clock = std::chrono::steady_clock;
 
-  bool cancelled() const;
   void beat();
 
   // SessionEndpoint::App: the WELCOME tail is u32 length + fingerprint +

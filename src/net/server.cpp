@@ -92,12 +92,10 @@ void ServeDaemon::welcome_tail(std::string& payload) {
 }
 
 void ServeDaemon::open(const std::string& id, const util::Json* journaled) {
-  Session session;
-  if (journaled != nullptr) {
-    session.requests = requests_from_json(journaled->at("requests"));
-    session.finished = journaled->at("finished").as_bool();
-  }
-  sessions_[id] = std::move(session);
+  sessions_[id] = journaled == nullptr
+                      ? Session{}
+                      : Session{requests_from_json(journaled->at("requests")),
+                                journaled->at("finished").as_bool()};
 }
 
 util::Json ServeDaemon::journal(const std::string& id) {

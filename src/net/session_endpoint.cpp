@@ -93,7 +93,6 @@ void SessionEndpoint::handle_welcome(const Frame& frame) {
                         fingerprint +
                         "') — refusing to mix two configurations in one "
                         "session");
-  app_.welcomed(frame.payload, 8);
   if (!resume_streams(host_read_seq, writer_, reader_, transport_,
                       config_.count_replay))
     throw ProtocolError(config_.label + ": " + config_.peer + " read_seq " +
@@ -101,6 +100,7 @@ void SessionEndpoint::handle_welcome(const Frame& frame) {
                         " outside our replay window [" +
                         std::to_string(writer_.acked()) + ", " +
                         std::to_string(writer_.write_seq()) + "]");
+  app_.welcomed(frame.payload, 8);
   const bool first = fingerprint_.empty();
   fingerprint_ = fingerprint;
   handshaken_ = true;

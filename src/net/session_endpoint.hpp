@@ -45,7 +45,8 @@ class SessionEndpoint {
     virtual std::string welcome_fingerprint(const std::string& payload,
                                             std::size_t at) = 0;
     /// Adopt the rest of the tail once the fingerprint matches the
-    /// journal's. Throws ProtocolError on a disagreement.
+    /// journal's and the read_seq is in the replay window. Throws
+    /// ProtocolError on a disagreement.
     virtual void welcomed(const std::string& payload, std::size_t at) = 0;
     /// Apply one complete app frame (it may append to writer()). Throws
     /// ProtocolError on a frame it does not accept.
