@@ -98,7 +98,8 @@ std::string dist_session_path(const std::string& workdir, std::size_t island) {
 }
 
 std::string spec_fingerprint(const DistSpec& spec) {
-  return "spec-" + util::hex_u64(util::durable::crc64(spec_to_json(spec).dump(0)));
+  return "spec-" +
+         util::hex_u64(util::durable::crc64(spec_to_json(spec).dump(0)));
 }
 
 void append_blob(net::BackedWriter& writer, net::FrameType type,

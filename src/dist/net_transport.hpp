@@ -190,13 +190,14 @@ class NetTransport : private net::SessionHost::App {
     std::vector<std::pair<std::uint64_t, Clock::time_point>> inflight;
     bool done = false;  ///< the island result is durable in the workdir
     bool quarantined = false;
+    std::size_t misses = 0;
+    Clock::time_point last_activity{};
+
     void reset_session() {
       pushed.clear();
       inbound = ChunkRun{};
       inflight.clear();
     }
-    std::size_t misses = 0;
-    Clock::time_point last_activity{};
   };
 
   /// One spawned worker slot (spawn mode only).

@@ -232,6 +232,17 @@ TEST(NetHandshakeFuzz, CoordinatorRefusesOrEarnsEveryMutatedHello) {
       ++refused;
     }
   }
+  // One spelling per island: an alias of island 1 is refused, not served
+  // as a second session of it.
+  const auto step = [&] { coordinator.step(report); };
+  EXPECT_EQ(handshake(handler, *options.listen,
+                      hello_payload(net::kProtocolVersion, 0, "island-01"), step)
+                .type,
+            net::FrameType::kRefuse);
+  EXPECT_EQ(handshake(handler, *options.listen,
+                      hello_payload(net::kProtocolVersion, 0, "island-1"), step)
+                .type,
+            net::FrameType::kWelcome);
   EXPECT_EQ(coordinator.connection_count(), 0u);
   EXPECT_EQ(report.workers_quarantined, 0u);
   EXPECT_GT(refused, std::size_t{kInputs} / 2);
