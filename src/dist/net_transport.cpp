@@ -210,7 +210,6 @@ NetTransport::NetTransport(DistSpec spec, std::string workdir,
              .state_dir = workdir_,
              .format_tag = kDistSessionFormatTag,
              .fingerprint = fingerprint_,
-             .resumed = &dist_net_metrics().sessions_resumed,
              .refused = &dist_net_metrics().refusals,
              .log =
                  [this](const std::string& what) {
@@ -303,6 +302,7 @@ void NetTransport::open(const std::string& id, const util::Json* journaled) {
   island.pushed = rounds_from_json(journaled->at("pushed"));
   island.inbound.partial = journaled->at("partial").as_string();
   island.inbound.key = journaled->at("partial_key").as_string();
+  dist_net_metrics().sessions_resumed.inc();
 }
 
 util::Json NetTransport::journal(const std::string& id) {

@@ -69,9 +69,6 @@ ServeDaemon::ServeDaemon(SocketHandler& handler,
              .fingerprint = service_.fingerprint(),
              .accepted = &net_metrics().connections_accepted,
              .dropped = &net_metrics().connections_dropped,
-             .created = &net_metrics().sessions_created,
-             .resumed = &net_metrics().sessions_resumed,
-             .completed = &net_metrics().sessions_completed,
              .refused = &net_metrics().handshakes_refused,
              .count_replay = true},
             *this) {}
@@ -96,6 +93,9 @@ void ServeDaemon::open(const std::string& id, const util::Json* journaled) {
                       ? Session{}
                       : Session{requests_from_json(journaled->at("requests")),
                                 journaled->at("finished").as_bool()};
+  (journaled == nullptr ? net_metrics().sessions_created
+                        : net_metrics().sessions_resumed)
+      .inc();
 }
 
 util::Json ServeDaemon::journal(const std::string& id) {
@@ -106,7 +106,11 @@ util::Json ServeDaemon::journal(const std::string& id) {
   return util::Json(std::move(app));
 }
 
-void ServeDaemon::close(const std::string& id) { sessions_.erase(id); }
+void ServeDaemon::close(const std::string& id) {
+  sessions_.erase(id);
+  ++completed_;
+  net_metrics().sessions_completed.inc();
+}
 
 bool ServeDaemon::apply(const std::string& id, const Frame& frame,
                         BackedWriter& out) {
@@ -156,7 +160,7 @@ bool ServeDaemon::step() {
 void ServeDaemon::run() {
   start();
   while (!stop_.load(std::memory_order_relaxed)) {
-    if (config_.once != 0 && host_.completed_count() >= config_.once &&
+    if (config_.once != 0 && completed_ >= config_.once &&
         host_.connection_count() == 0)
       break;
     if (!step()) host_.wait(20);

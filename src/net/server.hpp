@@ -53,9 +53,9 @@ class ServeDaemon : private SessionHost::App {
   /// Ask run() to return (safe from another thread or a signal handler).
   void request_stop() { stop_.store(true, std::memory_order_relaxed); }
 
-  std::size_t sessions_completed() const { return host_.completed_count(); }
+  std::size_t sessions_completed() const { return completed_; }
   std::size_t active_connections() const { return host_.connection_count(); }
-  std::size_t active_sessions() const { return host_.session_count(); }
+  std::size_t active_sessions() const { return sessions_.size(); }
 
  private:
   /// What one session journals beside its stream offsets.
@@ -78,6 +78,7 @@ class ServeDaemon : private SessionHost::App {
   DaemonConfig config_;
   std::atomic<bool> stop_{false};
   std::map<std::string, Session> sessions_;
+  std::size_t completed_ = 0;
   SessionHost host_;
 };
 

@@ -81,6 +81,25 @@ void route_frame(const Frame& frame, BackedReader& reader,
                std::string_view(frame.payload).substr(8));
 }
 
+bool consume_frames(BackedReader& reader, Transport& transport,
+                    const std::function<bool(const Frame&)>& apply,
+                    const std::function<void()>& save) {
+  bool any = false;
+  bool completed = false;
+  while (!completed) {
+    const std::optional<PeekedFrame> peeked = peek_frame(reader.inbox());
+    if (!peeked) break;
+    completed = apply(peeked->frame);
+    reader.consume(peeked->encoded_size);
+    any = true;
+  }
+  if (!any) return false;
+  // save-before-ack: the ack must never outrun the journal.
+  if (!completed) save();
+  transport.send_frame(ack_frame(reader.read_seq()));
+  return true;
+}
+
 bool resume_streams(std::uint64_t peer_read_seq, BackedWriter& writer,
                     BackedReader& reader, Transport& transport,
                     bool count_replay) {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 
@@ -76,6 +77,16 @@ Frame ack_frame(std::uint64_t read_seq);
 /// ProtocolError, prefixed by `label`, on a short kData or any other type.
 void route_frame(const Frame& frame, BackedReader& reader,
                  BackedWriter& writer, const std::string& label);
+
+/// The save-before-ack consume loop: apply the complete app frames at the
+/// head of `reader`'s inbox in order, consuming each once applied, until
+/// `apply` returns true (the frame completed the session). When anything
+/// was consumed, `save` journals the new read_seq (unless the session
+/// completed: its journal is about to go) and only then is its ack queued
+/// on `transport`. Returns true when anything was consumed.
+bool consume_frames(BackedReader& reader, Transport& transport,
+                    const std::function<bool(const Frame&)>& apply,
+                    const std::function<void()>& save);
 
 /// Resume a session's streams on a new connection whose peer durably holds
 /// `peer_read_seq` bytes of `writer`'s stream. False, changing nothing, when

@@ -108,21 +108,6 @@ void SessionEndpoint::handle_welcome(const Frame& frame) {
   if (first) save();  // journal the fingerprint we committed to
 }
 
-bool SessionEndpoint::advance() {
-  bool mutated = false;
-  while (std::optional<PeekedFrame> peeked = peek_frame(reader_.inbox())) {
-    app_.apply(peeked->frame);
-    reader_.consume(peeked->encoded_size);
-    mutated = true;
-  }
-  if (!mutated) return false;
-  // save-before-ack: journal the consumed bytes (and whatever the
-  // application queued for them) before the ack can reach the host.
-  save();
-  transport_.send_frame(ack_frame(reader_.read_seq()));
-  return true;
-}
-
 bool SessionEndpoint::receive() {
   bool progress = false;
   while (std::optional<Frame> frame = transport_.next()) {
@@ -141,7 +126,14 @@ bool SessionEndpoint::receive() {
       route_frame(*frame, reader_, writer_, config_.label);
     }
   }
-  if (handshaken_) progress |= advance();
+  // What the application queues for a frame (a BYE) is journaled by the
+  // same save as the consumption; only a host completes a session.
+  const auto apply = [&](const Frame& frame) {
+    app_.apply(frame);
+    return false;
+  };
+  if (handshaken_)
+    progress |= consume_frames(reader_, transport_, apply, [&] { save(); });
   return progress;
 }
 

@@ -96,7 +96,6 @@ class SessionEndpoint {
   /// Handle every decoded frame, then apply complete app frames. True when
   /// any frame arrived.
   bool receive();
-  bool advance();
   /// Complete once the host acked everything up to our last message.
   bool finish_if_acked();
   void complete();

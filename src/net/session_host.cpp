@@ -15,10 +15,6 @@ const BackedWriter& empty_writer() {
   return writer;
 }
 
-void count(obs::Counter* counter) {
-  if (counter != nullptr) counter->inc();
-}
-
 }  // namespace
 
 SessionHost::SessionHost(SocketHandler& handler, HostConfig config, App& app)
@@ -64,7 +60,6 @@ SessionHost::Session* SessionHost::restore(const std::string& id) {
   Session& session = sessions_[id];
   session.writer.restore(state->write_acked, std::move(state->write_unacked));
   session.reader.restore(state->read_seq);
-  count(config_.resumed);
   return &session;
 }
 
@@ -76,14 +71,13 @@ void SessionHost::save(const std::string& id, const Session& session) {
                      config_.format_tag);
 }
 
-bool SessionHost::refuse(Conn& conn, const std::string& reason) {
+void SessionHost::refuse(Conn& conn, const std::string& reason) {
   Frame frame;
   frame.type = FrameType::kRefuse;
   frame.payload = reason;
   conn.transport.send_frame(frame);
   conn.closing = true;  // drain the refusal, then drop
-  count(config_.refused);
-  return true;
+  if (config_.refused != nullptr) config_.refused->inc();
 }
 
 void SessionHost::welcome(Conn& conn, const std::string& id,
@@ -97,7 +91,7 @@ void SessionHost::welcome(Conn& conn, const std::string& id,
   conn.handshaken = true;
 }
 
-bool SessionHost::handle_hello(Conn& conn, const Frame& frame) {
+void SessionHost::handle_hello(Conn& conn, const Frame& frame) {
   obs::TraceSpan span("net.handshake", "net");
   if (frame.payload.size() < 4 + 8)
     return refuse(conn, "malformed hello frame");
@@ -132,7 +126,7 @@ bool SessionHost::handle_hello(Conn& conn, const Frame& frame) {
     // to learn that.
     welcome(conn, id, kSessionCompleted);
     conn.closing = true;
-    return true;
+    return;
   }
   if (session == nullptr && peer_read_seq > 0)
     return refuse(conn, "durable read_seq " + std::to_string(peer_read_seq) +
@@ -143,7 +137,6 @@ bool SessionHost::handle_hello(Conn& conn, const Frame& frame) {
   if (session == nullptr) {
     app_.open(id, nullptr);
     session = &sessions_[id];
-    count(config_.created);
   }
   if (!resume_streams(peer_read_seq, session->writer, session->reader,
                       conn.transport, config_.count_replay))
@@ -156,38 +149,26 @@ bool SessionHost::handle_hello(Conn& conn, const Frame& frame) {
                             " journal lost or regressed");
   welcome(conn, id, session->reader.read_seq());
   app_.heard(id, session->writer);
-  return true;
 }
 
 bool SessionHost::advance(Conn& conn, Session& session) {
-  bool mutated = false;
   bool completed = false;
-  while (!completed) {
-    const std::optional<PeekedFrame> peeked =
-        peek_frame(session.reader.inbox());
-    if (!peeked) break;
-    completed = app_.apply(conn.id, peeked->frame, session.writer);
-    session.reader.consume(peeked->encoded_size);
-    mutated = true;
-  }
-  if (!mutated) return false;
+  const auto apply = [&](const Frame& frame) {
+    return completed = app_.apply(conn.id, frame, session.writer);
+  };
+  if (!consume_frames(session.reader, conn.transport, apply,
+                      [&] { save(conn.id, session); }))
+    return false;
   app_.heard(conn.id, session.writer);
   if (completed) {
-    // Ack the last frame so the peer can finish, then garbage-collect. If
+    // The ack of the last frame lets the peer finish; garbage-collect. If
     // the ack is lost, the kSessionCompleted handshake answer covers it.
-    conn.transport.send_frame(ack_frame(session.reader.read_seq()));
     std::error_code ec;
     std::filesystem::remove(session_journal_path(config_.state_dir, conn.id),
                             ec);
     sessions_.erase(conn.id);
-    ++completed_;
-    count(config_.completed);
     app_.close(conn.id);
     conn.closing = true;
-  } else {
-    // save-before-ack: the ack must never outrun the journal.
-    save(conn.id, session);
-    conn.transport.send_frame(ack_frame(session.reader.read_seq()));
   }
   return true;
 }
@@ -236,7 +217,7 @@ bool SessionHost::step() {
     auto conn = std::make_unique<Conn>();
     conn->transport.attach(std::move(socket));
     connections_.push_back(std::move(conn));
-    count(config_.accepted);
+    if (config_.accepted != nullptr) config_.accepted->inc();
     progress = true;
   }
   // Dead slots are nulled in place (never reordered) so handle_hello's
@@ -256,7 +237,7 @@ bool SessionHost::step() {
     } catch (const FrameError&) {
       alive = false;
     }
-    if (!alive) count(config_.dropped);
+    if (!alive && config_.dropped != nullptr) config_.dropped->inc();
     if (!alive || (conn.closing && conn.transport.outbox_size() == 0)) {
       conn.transport.drop();
       connections_[i] = nullptr;  // dies; session state stays for a resume

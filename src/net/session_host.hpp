@@ -27,9 +27,6 @@ struct HostConfig {
   std::string fingerprint;
   obs::Counter* accepted = nullptr;   ///< connections accepted
   obs::Counter* dropped = nullptr;    ///< connections that died
-  obs::Counter* created = nullptr;    ///< fresh sessions
-  obs::Counter* resumed = nullptr;    ///< sessions restored from a journal
-  obs::Counter* completed = nullptr;  ///< sessions garbage-collected at the end
   obs::Counter* refused = nullptr;    ///< kRefuse answers
   bool count_replay = false;  ///< into net.bytes_replayed / net.replay_bytes
   /// Told why a connection was dropped for a protocol violation.
@@ -65,13 +62,14 @@ class SessionHost {
     virtual void welcome_tail(std::string& payload) = 0;
     /// Start the state of session `id`: fresh when `journaled` is null, else
     /// from its journal's `app` document (an exception marks it corrupt).
+    /// The application counts sessions created and resumed here.
     virtual void open(const std::string& id, const util::Json* journaled) = 0;
     virtual util::Json journal(const std::string& id) = 0;
     /// Apply one complete app frame; `out` is the session's outbound
     /// stream. Returns true when the frame completes the session.
     virtual bool apply(const std::string& id, const Frame& frame,
                        BackedWriter& out) = 0;
-    /// The completed session's journal is gone: drop its state.
+    /// The completed session's journal is gone: drop (and count) it.
     virtual void close(const std::string& id) = 0;
     /// Queue outbound data outside the consume loop; true when anything was
     /// appended (the host journals it before a pump can flush it).
@@ -103,8 +101,6 @@ class SessionHost {
   void disconnect(const std::string& id);
 
   std::size_t connection_count() const { return connections_.size(); }
-  std::size_t session_count() const { return sessions_.size(); }
-  std::size_t completed_count() const { return completed_; }
 
  private:
   struct Session {
@@ -125,10 +121,9 @@ class SessionHost {
   /// CheckpointCorruptError for an unreadable one.
   Session* restore(const std::string& id);
   void save(const std::string& id, const Session& session);
-  /// Queue a kRefuse and close once it drained. Returns true: a refusal is
-  /// a handled handshake.
-  bool refuse(Conn& conn, const std::string& reason);
-  bool handle_hello(Conn& conn, const Frame& frame);
+  /// Queue a kRefuse and close once it drained.
+  void refuse(Conn& conn, const std::string& reason);
+  void handle_hello(Conn& conn, const Frame& frame);
   void welcome(Conn& conn, const std::string& id, std::uint64_t read_seq);
   /// Consume complete app frames; journal and ack, or ack and GC.
   bool advance(Conn& conn, Session& session);
@@ -141,7 +136,6 @@ class SessionHost {
   std::optional<int> listener_;
   std::vector<std::unique_ptr<Conn>> connections_;
   std::map<std::string, Session> sessions_;
-  std::size_t completed_ = 0;
 };
 
 }  // namespace hadas::net
