@@ -133,43 +133,36 @@ HadasEngine::HadasEngine(const supernet::SearchSpace& space, hw::Target target,
                          HadasConfig config)
     : space_(space),
       config_(config),
-      static_eval_(space, target, config.exec.cache_capacity, config.robust),
+      static_eval_(space, target, config.robust),
       task_(config.data),
-      dispatcher_(config.exec),
-      static_cache_(config.exec.cache_capacity) {}
+      dispatcher_(config.exec) {}
 
 const HadasEngine::BankEntry& HadasEngine::bank_entry(
     const supernet::BackboneConfig& config) const {
   const std::uint64_t key = supernet::genome_hash(supernet::encode(space_, config));
-  {
-    std::scoped_lock lock(bank_mutex_);
-    auto it = bank_cache_.find(key);
-    if (it != bank_cache_.end()) return it->second;
-  }
+  // Built outside the memo's lock, so concurrent IOE tasks train the banks
+  // of distinct backbones in parallel; construction is deterministic in
+  // (config, seed), so a lost race only wastes work.
+  return bank_cache_.get_or_compute(key, [&] {
+    const supernet::NetworkCost& cost = static_eval_.cost_cache().analyze(config);
+    const double accuracy = static_eval_.surrogate().accuracy(config);
+    const double separability = data::separability_from_accuracy(accuracy);
 
-  // Built outside the lock so concurrent IOE tasks train the banks of
-  // distinct backbones in parallel. If two tasks race on the same key the
-  // loser's entry is discarded by try_emplace — wasted work, never a wrong
-  // result, since construction is deterministic in (config, seed).
-  const supernet::NetworkCost cost = static_eval_.cost_cache().analyze(config);
-  const double accuracy = static_eval_.surrogate().accuracy(config);
-  const double separability = data::separability_from_accuracy(accuracy);
+    dynn::ExitBankConfig bank_config = config_.bank;
+    bank_config.seed = config_.bank.seed ^ key;  // per-backbone determinism
 
-  dynn::ExitBankConfig bank_config = config_.bank;
-  bank_config.seed = config_.bank.seed ^ key;  // per-backbone determinism
-
-  BankEntry entry;
-  {
-    const obs::TraceSpan span("bank.build", "search");
-    entry.bank = std::make_unique<dynn::ExitBank>(task_, cost, separability,
-                                                  bank_config, &dispatcher_);
-  }
-  entry.cost = std::make_unique<dynn::MultiExitCostTable>(
-      cost, static_eval_.hardware());
-  if (static_eval_.robust().active())
-    entry.cost->set_robust(&static_eval_.robust(), key);
-  std::scoped_lock lock(bank_mutex_);
-  return bank_cache_.try_emplace(key, std::move(entry)).first->second;
+    BankEntry entry;
+    {
+      const obs::TraceSpan span("bank.build", "search");
+      entry.bank = std::make_unique<dynn::ExitBank>(task_, cost, separability,
+                                                    bank_config, &dispatcher_);
+    }
+    entry.cost = std::make_unique<dynn::MultiExitCostTable>(
+        cost, static_eval_.hardware());
+    if (static_eval_.robust().active())
+      entry.cost->set_robust(&static_eval_.robust(), key);
+    return entry;
+  });
 }
 
 const dynn::ExitBank& HadasEngine::exit_bank(
@@ -601,8 +594,6 @@ void export_search_metrics(const HadasEngine& engine,
     const std::string base = std::string("exec.cache.") + prefix;
     registry.gauge(base + ".hits").set(static_cast<double>(stats.hits));
     registry.gauge(base + ".misses").set(static_cast<double>(stats.misses));
-    registry.gauge(base + ".evictions")
-        .set(static_cast<double>(stats.evictions));
     registry.gauge(base + ".size").set(static_cast<double>(stats.size));
     registry.gauge(base + ".hit_rate").set(stats.hit_rate());
   };

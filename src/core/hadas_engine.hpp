@@ -4,9 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/ioe.hpp"
@@ -315,10 +313,8 @@ class HadasEngine {
   exec::ParallelDispatcher dispatcher_;
   /// S(b) memo across run() calls (warm starts); keyed by genome hash.
   mutable exec::EvalCache<StaticEval> static_cache_;
-  /// Guards bank_cache_ lookup/insert; bank construction happens outside
-  /// the lock so distinct backbones train their exit banks concurrently.
-  mutable std::mutex bank_mutex_;
-  mutable std::unordered_map<std::uint64_t, BankEntry> bank_cache_;
+  /// Exit bank and cost table of each backbone an IOE ran on.
+  mutable exec::EvalCache<BankEntry> bank_cache_;
 };
 
 }  // namespace hadas::core

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "exec/eval_cache.hpp"
+#include "util/hash.hpp"
 
 namespace hadas::core {
 
@@ -29,7 +30,7 @@ class InnerProblem final : public Problem {
   /// Memoized D(x, f | b) of a genome (exact same value as a direct
   /// DynamicEvaluator call — the evaluation is deterministic).
   dynn::DynamicMetrics metrics(const IntGenome& genome) {
-    return memo_.get_or_compute(exec::hash_ints(genome), [&] {
+    return memo_.get_or_compute(hadas::util::fnv1a(genome), [&] {
       const auto [placement, setting] = decode(genome);
       return eval_.evaluate(placement, setting);
     });
@@ -80,9 +81,8 @@ class InnerProblem final : public Problem {
   std::size_t total_layers_;
   bool include_gain_objective_;
   std::size_t num_eligible_ = 0;
-  /// Unbounded within one IOE run (at most one entry per distinct
-  /// candidate, and a run is capped by its NSGA budget).
-  exec::EvalCache<dynn::DynamicMetrics> memo_{/*capacity=*/0, /*shards=*/1};
+  /// At most one entry per distinct candidate of one IOE run.
+  exec::EvalCache<dynn::DynamicMetrics> memo_;
 };
 }  // namespace
 

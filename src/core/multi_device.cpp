@@ -119,7 +119,7 @@ MultiDeviceEngine::MultiDeviceEngine(const supernet::SearchSpace& space,
   for (std::size_t i = 0; i < targets_.size(); ++i) {
     DeviceContext context;
     context.static_eval = std::make_unique<StaticEvaluator>(
-        space_, targets_[i], config_.exec.cache_capacity,
+        space_, targets_[i],
         config_.robust.empty() ? hw::RobustConfig{} : config_.robust[i]);
     devices_.push_back(std::move(context));
   }
@@ -170,10 +170,8 @@ void MultiDeviceEngine::throw_all_dead() const {
 }
 
 void MultiDeviceEngine::fleet_tick() {
-  for (std::size_t r = 0; r < config_.fleet_rounds_per_generation; ++r) {
-    config_.fleet->advance_round();
-    ++fleet_rounds_total_;
-  }
+  config_.fleet->advance_round();
+  ++fleet_rounds_total_;
   if (!config_.fleet_state_path.empty())
     config_.fleet->save(config_.fleet_state_path);
   if (alive_indices() != attempt_alive_) throw FleetMembershipChanged{};
@@ -256,7 +254,7 @@ FleetDeployment MultiDeviceEngine::fleet_deployment(
   // searched bank, not a retrained approximation.
   const std::uint64_t backbone_key =
       supernet::genome_hash(supernet::encode(space_, solution.backbone));
-  const supernet::NetworkCost cost =
+  const supernet::NetworkCost& cost =
       devices_.front().static_eval->cost_cache().analyze(solution.backbone);
   const double accuracy =
       devices_.front().static_eval->surrogate().accuracy(solution.backbone);
@@ -408,7 +406,7 @@ MultiDeviceResult MultiDeviceEngine::search(const std::vector<std::size_t>& aliv
     const supernet::BackboneConfig& backbone = entries[front[order[e]]].config;
     const std::uint64_t backbone_key =
         supernet::genome_hash(supernet::encode(space_, backbone));
-    const supernet::NetworkCost cost =
+    const supernet::NetworkCost& cost =
         devices_[alive.front()].static_eval->cost_cache().analyze(backbone);
     const double accuracy =
         devices_[alive.front()].static_eval->surrogate().accuracy(backbone);

@@ -40,15 +40,13 @@ struct MultiDeviceConfig {
   /// Fleet mode (non-owning; must outlive the engine). Targets are derived
   /// from the registry's device groups — one measurement context per group
   /// with at least one member — and `targets`/`robust` must stay empty. The
-  /// registry's chaos schedule advances at every outer generation boundary;
-  /// when the set of groups with a serviceable member changes (a whole group
-  /// dies, or one comes back from zero), the search deterministically
-  /// restarts on the new group set, so the finished result is byte-identical
-  /// to a run whose final membership was fixed up front.
+  /// registry's chaos schedule advances one round at every outer generation
+  /// boundary; when the set of groups with a serviceable member changes (a
+  /// whole group dies, or one comes back from zero), the search
+  /// deterministically restarts on the new group set, so the finished result
+  /// is byte-identical to a run whose final membership was fixed up front.
   hw::fleet::FleetRegistry* fleet = nullptr;
-  /// Chaos rounds advanced per outer generation in fleet mode.
-  std::size_t fleet_rounds_per_generation = 1;
-  /// Durable fleet checkpoint (kFleetFormatTag) written after the rounds of
+  /// Durable fleet checkpoint (kFleetFormatTag) written after the round of
   /// each generation boundary, so a killed run resumes with the same
   /// membership view. Empty = no checkpointing.
   std::string fleet_state_path;
@@ -161,9 +159,9 @@ class MultiDeviceEngine {
   /// devices_/targets_). Throws hw::DeviceUnavailableError if a breaker
   /// opens mid-run.
   MultiDeviceResult search(const std::vector<std::size_t>& alive);
-  /// Fleet mode: advance chaos rounds + checkpoint at a generation boundary;
-  /// throws (internally) when the serviceable group set drifted from
-  /// `attempt_alive_`.
+  /// Fleet mode: advance one chaos round + checkpoint at a generation
+  /// boundary; throws (internally) when the serviceable group set drifted
+  /// from `attempt_alive_`.
   void fleet_tick();
   std::vector<std::size_t> alive_indices() const;
   /// All-dead diagnostic naming every device's breaker/lifecycle state.

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "util/hash.hpp"
+
 namespace hadas::core {
 
 void Problem::repair(IntGenome&, hadas::util::Rng&) const {}
@@ -52,16 +54,11 @@ void reset_mutation(IntGenome& genome, const std::vector<std::size_t>& cardinali
 
 namespace {
 
-/// FNV-1a over the genome's int32 values; keys the evaluation memo (the old
-/// std::map cost a full lexicographic genome comparison per tree level).
+/// Keys the evaluation memo (the old std::map cost a full lexicographic
+/// genome comparison per tree level).
 struct GenomeHash {
   std::size_t operator()(const IntGenome& g) const noexcept {
-    std::uint64_t h = 1469598103934665603ULL;
-    for (std::int32_t v : g) {
-      h ^= static_cast<std::uint32_t>(v);
-      h *= 1099511628211ULL;
-    }
-    return static_cast<std::size_t>(h);
+    return static_cast<std::size_t>(hadas::util::fnv1a(g));
   }
 };
 

@@ -18,11 +18,10 @@ void validate_finite(const StaticEval& eval) {
 
 StaticEvaluator::StaticEvaluator(const supernet::SearchSpace& space,
                                  hw::Target target,
-                                 std::size_t cost_cache_capacity,
                                  hw::RobustConfig robust)
     : space_(space),
       cost_model_(space),
-      cost_cache_(cost_model_, cost_cache_capacity),
+      cost_cache_(cost_model_),
       surrogate_(std::make_unique<supernet::AccuracySurrogate>(cost_cache_)),
       hw_(hw::make_device(target)),
       robust_(hw_, robust) {}
@@ -30,7 +29,7 @@ StaticEvaluator::StaticEvaluator(const supernet::SearchSpace& space,
 StaticEval StaticEvaluator::evaluate(const supernet::BackboneConfig& config) const {
   StaticEval s;
   s.accuracy = surrogate_->accuracy(config);
-  const supernet::NetworkCost cost = cost_cache_.analyze(config);
+  const supernet::NetworkCost& cost = cost_cache_.analyze(config);
   const hw::DvfsSetting setting = hw::default_setting(hw_.device());
   hw::HwMeasurement m;
   if (robust_.active()) {

@@ -35,7 +35,6 @@ void validate_finite(const StaticEval& eval);
 class StaticEvaluator {
  public:
   StaticEvaluator(const supernet::SearchSpace& space, hw::Target target,
-                  std::size_t cost_cache_capacity = 4096,
                   hw::RobustConfig robust = {});
 
   const supernet::SearchSpace& space() const { return space_; }

@@ -19,8 +19,6 @@ struct ExecConfig {
   /// 0 = auto (hardware concurrency), 1 = serial (the debugging fallback). The HADAS_THREADS environment variable, when set to a
   /// positive integer, overrides this value.
   std::size_t threads = 0;
-  /// Capacity of each memoized evaluation cache (entries; 0 = unbounded).
-  std::size_t cache_capacity = 4096;
 };
 
 /// `config.threads` with the 0 = auto rule and the HADAS_THREADS

@@ -1,14 +1,9 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <mutex>
-#include <optional>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 namespace hadas::exec {
 
@@ -16,7 +11,6 @@ namespace hadas::exec {
 struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
   std::size_t size = 0;
 
   double hit_rate() const {
@@ -25,160 +19,55 @@ struct CacheStats {
   }
 };
 
-/// SplitMix64 finalizer: spreads the low entropy of sequential keys across
-/// the shard index bits.
-inline std::uint64_t mix_hash(std::uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-/// Stable FNV-1a hash of an integer sequence (same scheme as
-/// supernet::genome_hash, usable on any genome-like vector without a
-/// dependency on the supernet library).
-template <typename Container>
-std::uint64_t hash_ints(const Container& values) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const auto& v : values) {
-    h ^= static_cast<std::uint64_t>(static_cast<std::int64_t>(v));
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-/// Sharded, mutex-striped memo table keyed by a 64-bit hash. Used to
-/// deduplicate repeated deterministic evaluations — S(b), cost-model
-/// analyses, inner-engine D(x, f | b) metrics — within and across search
-/// runs (warm starts).
+/// Memo table keyed by a 64-bit hash: one mutex over one unbounded map.
+/// Deduplicates repeated deterministic evaluations — cost-model analyses,
+/// S(b), inner-engine D(x, f | b) metrics, exit banks — within and across
+/// search runs (warm starts). A table holds at most one entry per distinct
+/// candidate of the search that owns it.
 ///
 /// Concurrency contract: every method is thread-safe. `get_or_compute`
-/// runs the compute function OUTSIDE the shard lock, so two threads racing
-/// on the same key may both compute; the first insert wins and the values
-/// must therefore come from a pure deterministic function of the key —
-/// which is exactly what makes cached and uncached runs bit-identical.
-///
-/// Eviction is FIFO per shard once the shard exceeds capacity / shards;
-/// capacity 0 means unbounded. Eviction never affects results, only reuse.
+/// runs the compute function OUTSIDE the lock, so distinct keys compute
+/// concurrently and two threads racing on the same key may both compute;
+/// the first insert wins, so values must come from a pure deterministic
+/// function of the key — which is exactly what makes cached and uncached
+/// runs bit-identical.
 template <typename Value>
 class EvalCache {
  public:
-  explicit EvalCache(std::size_t capacity = 4096, std::size_t shard_count = 16)
-      : capacity_(capacity) {
-    std::size_t shards = 1;
-    while (shards < shard_count) shards <<= 1;  // power of two for masking
-    shards_.reserve(shards);
-    for (std::size_t i = 0; i < shards; ++i)
-      shards_.push_back(std::make_unique<Shard>());
-    per_shard_capacity_ =
-        capacity_ == 0 ? 0 : std::max<std::size_t>(1, capacity_ / shards);
-  }
-
+  EvalCache() = default;
   EvalCache(const EvalCache&) = delete;
   EvalCache& operator=(const EvalCache&) = delete;
 
-  std::size_t capacity() const { return capacity_; }
-
-  /// Cached value for `key`, or std::nullopt.
-  std::optional<Value> find(std::uint64_t key) const {
-    const Shard& shard = shard_for(key);
-    std::scoped_lock lock(shard.mutex);
-    auto it = shard.map.find(key);
-    if (it == shard.map.end()) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      return std::nullopt;
-    }
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return it->second;
-  }
-
-  /// Insert (no-op if the key is already present — first value wins).
-  void insert(std::uint64_t key, Value value) {
-    Shard& shard = shard_for(key);
-    std::scoped_lock lock(shard.mutex);
-    if (!shard.map.try_emplace(key, std::move(value)).second) return;
-    shard.order.push_back(key);
-    evict_locked(shard);
-  }
-
   /// The cached value for `key`, computing and inserting it on a miss.
-  /// `compute` must be a pure deterministic function of the key.
+  /// `compute` must be a pure deterministic function of the key. Entries
+  /// are never removed, so the reference stays valid for the cache's
+  /// lifetime.
   template <typename Fn>
-  Value get_or_compute(std::uint64_t key, Fn&& compute) {
+  const Value& get_or_compute(std::uint64_t key, Fn&& compute) {
     {
-      Shard& shard = shard_for(key);
-      std::scoped_lock lock(shard.mutex);
-      auto it = shard.map.find(key);
-      if (it != shard.map.end()) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
+      std::scoped_lock lock(mutex_);
+      auto it = map_.find(key);
+      if (it != map_.end()) {
+        ++hits_;
         return it->second;
       }
+      ++misses_;
     }
-    misses_.fetch_add(1, std::memory_order_relaxed);
     Value value = compute();  // outside the lock: computes run concurrently
-    Shard& shard = shard_for(key);
-    std::scoped_lock lock(shard.mutex);
-    auto [it, inserted] = shard.map.try_emplace(key, std::move(value));
-    if (inserted) {
-      shard.order.push_back(key);
-      evict_locked(shard);
-    }
-    return it->second;
-  }
-
-  void clear() {
-    for (auto& shard : shards_) {
-      std::scoped_lock lock(shard->mutex);
-      shard->map.clear();
-      shard->order.clear();
-    }
-  }
-
-  std::size_t size() const {
-    std::size_t total = 0;
-    for (const auto& shard : shards_) {
-      std::scoped_lock lock(shard->mutex);
-      total += shard->map.size();
-    }
-    return total;
+    std::scoped_lock lock(mutex_);
+    return map_.try_emplace(key, std::move(value)).first->second;
   }
 
   CacheStats stats() const {
-    CacheStats s;
-    s.hits = hits_.load(std::memory_order_relaxed);
-    s.misses = misses_.load(std::memory_order_relaxed);
-    s.evictions = evictions_.load(std::memory_order_relaxed);
-    s.size = size();
-    return s;
+    std::scoped_lock lock(mutex_);
+    return {hits_, misses_, map_.size()};
   }
 
  private:
-  struct Shard {
-    mutable std::mutex mutex;
-    std::unordered_map<std::uint64_t, Value> map;
-    std::deque<std::uint64_t> order;  // insertion order, for FIFO eviction
-  };
-
-  Shard& shard_for(std::uint64_t key) const {
-    return *shards_[mix_hash(key) & (shards_.size() - 1)];
-  }
-
-  void evict_locked(Shard& shard) {
-    if (per_shard_capacity_ == 0) return;
-    while (shard.map.size() > per_shard_capacity_) {
-      shard.map.erase(shard.order.front());
-      shard.order.pop_front();
-      evictions_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  std::size_t capacity_;
-  std::size_t per_shard_capacity_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  mutable std::atomic<std::uint64_t> hits_{0};
-  mutable std::atomic<std::uint64_t> misses_{0};
-  mutable std::atomic<std::uint64_t> evictions_{0};
+  mutable std::mutex mutex_;
+  std::unordered_map<std::uint64_t, Value> map_;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
 };
 
 }  // namespace hadas::exec

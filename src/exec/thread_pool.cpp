@@ -11,12 +11,10 @@
 namespace hadas::exec {
 
 namespace {
-/// Pool-wide instruments, resolved once (registry lookups take a mutex).
+/// Task instruments, resolved once (registry lookups take a mutex).
 struct PoolMetrics {
   obs::Counter& tasks =
       obs::MetricsRegistry::global().counter("exec.tasks_total");
-  obs::Gauge& queue_peak =
-      obs::MetricsRegistry::global().gauge("exec.queue_depth_peak");
   obs::Histogram& task_seconds = obs::MetricsRegistry::global().histogram(
       "exec.task_seconds", obs::default_time_bounds());
 };
@@ -86,7 +84,11 @@ void ThreadPool::post(std::function<void()> task) {
     queue_.push_back(std::move(task));
     depth = queue_.size();
   }
-  pool_metrics().queue_peak.track_max(static_cast<double>(depth));
+  // Registered by the first queued task, so a run that never queues work
+  // (one thread) exports no peak at all rather than a 0.
+  static obs::Gauge& queue_peak =
+      obs::MetricsRegistry::global().gauge("exec.queue_depth_peak");
+  queue_peak.track_max(static_cast<double>(depth));
   cv_.notify_one();
 }
 

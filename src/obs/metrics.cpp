@@ -14,22 +14,10 @@ namespace {
 
 std::atomic<bool> g_enabled{false};
 
-/// Small per-thread ordinal for counter sharding and trace thread ids.
-std::uint32_t thread_ordinal() {
-  static std::atomic<std::uint32_t> next{0};
-  thread_local const std::uint32_t ordinal =
-      next.fetch_add(1, std::memory_order_relaxed);
-  return ordinal;
-}
-
 }  // namespace
 
 bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
 void set_enabled(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
-
-std::atomic<std::uint64_t>& Counter::shard() {
-  return cells_[thread_ordinal() % cells_.size()].v;
-}
 
 std::uint64_t Gauge::to_bits(double v) {
   std::uint64_t bits;

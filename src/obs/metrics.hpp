@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -15,8 +14,8 @@ namespace hadas::obs {
 
 /// Master switch for the *timed* parts of the observability layer: scoped
 /// trace spans and duration histograms read the clock only while this is on.
-/// Plain counters and gauges are always live — they are relaxed atomics in
-/// the style of exec::CacheStats, cheap enough for hot paths.
+/// Plain counters and gauges are always live — they are relaxed atomics,
+/// cheap enough for hot paths.
 ///
 /// Observability is strictly observe-only: nothing recorded here ever feeds
 /// back into a search or serve decision, so Pareto fronts and ServeReports
@@ -25,36 +24,22 @@ namespace hadas::obs {
 bool enabled();
 void set_enabled(bool on);
 
-/// Monotonically increasing event count. Increments land on one of a few
-/// cache-line-padded shards keyed by the calling thread, so concurrent hot
-/// paths do not contend on a single cache line; value() sums the shards.
+/// Monotonically increasing event count: one relaxed atomic.
 class Counter {
  public:
-  void inc(std::uint64_t n = 1) {
-    shard().fetch_add(n, std::memory_order_relaxed);
-  }
-  std::uint64_t value() const {
-    std::uint64_t total = 0;
-    for (const Cell& cell : cells_) total += cell.v.load(std::memory_order_relaxed);
-    return total;
-  }
-  void reset() {
-    for (Cell& cell : cells_) cell.v.store(0, std::memory_order_relaxed);
-  }
+  void inc(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
+  std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
+  void reset() { v_.store(0, std::memory_order_relaxed); }
 
  private:
-  struct alignas(64) Cell {
-    std::atomic<std::uint64_t> v{0};
-  };
-  std::atomic<std::uint64_t>& shard();
-  std::array<Cell, 8> cells_;
+  std::atomic<std::uint64_t> v_{0};
 };
 
 /// Last-written (or accumulated / max-tracked) double value.
 class Gauge {
  public:
   void set(double v) { bits_.store(to_bits(v), std::memory_order_relaxed); }
-  /// Atomic add (CAS loop; gauges are not hot enough to need sharding).
+  /// Atomic add (CAS loop).
   void add(double v);
   /// Raise the gauge to `v` if larger (peak tracking, e.g. queue depth).
   void track_max(double v);

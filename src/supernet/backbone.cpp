@@ -4,6 +4,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/hash.hpp"
+
 namespace hadas::supernet {
 
 int BackboneConfig::total_layers() const {
@@ -93,12 +95,7 @@ Genome random_genome(const SearchSpace& space, hadas::util::Rng& rng) {
 }
 
 std::uint64_t genome_hash(const Genome& genome) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::int32_t v : genome) {
-    h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(v));
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  return hadas::util::fnv1a(genome);
 }
 
 }  // namespace hadas::supernet

@@ -152,7 +152,7 @@ NetworkCost CostModel::analyze(const BackboneConfig& config) const {
   return net;
 }
 
-NetworkCost CachedCostModel::analyze(const BackboneConfig& config) const {
+const NetworkCost& CachedCostModel::analyze(const BackboneConfig& config) const {
   const std::uint64_t key = genome_hash(encode(model_->space(), config));
   return cache_.get_or_compute(key, [&] { return model_->analyze(config); });
 }

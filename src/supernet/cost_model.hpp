@@ -76,18 +76,18 @@ class CostModel {
 /// same backbone is analyzed by the static evaluator, the exit-bank
 /// builder and the cost-table builder; routing them through one
 /// CachedCostModel collapses those repeats (within a run and across
-/// warm-started runs) into a single analysis. Thread-safe — the underlying
-/// exec::EvalCache is sharded and mutex-striped, so concurrent searches
-/// share the table without serializing on one lock.
+/// warm-started runs) into a single analysis. Thread-safe: analyses run
+/// outside the exec::EvalCache lock, so concurrent searches only serialize
+/// on the map lookup.
 class CachedCostModel {
  public:
-  explicit CachedCostModel(const CostModel& model, std::size_t capacity = 4096)
-      : model_(&model), cache_(capacity) {}
+  explicit CachedCostModel(const CostModel& model) : model_(&model) {}
 
   const CostModel& model() const { return *model_; }
 
-  /// Cached per-layer cost breakdown (computes on first sight).
-  NetworkCost analyze(const BackboneConfig& config) const;
+  /// Cached per-layer cost breakdown (computes on first sight; the
+  /// reference lives as long as this model).
+  const NetworkCost& analyze(const BackboneConfig& config) const;
 
   exec::CacheStats stats() const { return cache_.stats(); }
 

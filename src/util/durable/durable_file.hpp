@@ -65,9 +65,9 @@ struct FileInfo {
 std::uint64_t crc64(std::string_view bytes);
 
 /// Process-wide counters of the durable layer's disk traffic and recovery
-/// activity. Kept here as plain atomics (the EvalCache-stats pattern) so the
-/// bottom util layer stays free of an observability dependency; src/obs
-/// exports a snapshot into the metrics registry at dump time.
+/// activity. Kept here as plain atomics so the bottom util layer stays free
+/// of an observability dependency; src/obs exports a snapshot into the
+/// metrics registry at dump time.
 struct DurableStats {
   std::uint64_t writes = 0;           ///< successful DurableFile::write calls
   std::uint64_t bytes_written = 0;    ///< envelope bytes across those writes

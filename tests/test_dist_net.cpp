@@ -5,7 +5,6 @@
 // partitions change nothing about the result.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <chrono>
 #include <filesystem>
@@ -27,6 +26,7 @@
 #include "net/fake_socket.hpp"
 #include "net/frame.hpp"
 #include "net/session.hpp"
+#include "test_helpers.hpp"
 #include "util/durable/durable_file.hpp"
 #include "util/strutil.hpp"
 
@@ -61,18 +61,6 @@ DistSpec tiny_spec(std::size_t islands) {
   return spec;
 }
 
-std::string tmp_dir(const std::string& name) {
-  // Per-process suffix: ctest -j runs each DistNet test as its own process,
-  // and two of them must not race on a shared scratch directory.
-  const std::string dir =
-      (std::filesystem::temp_directory_path() /
-       ("hadas_dist_net_" + std::to_string(::getpid()) + "_" + name))
-          .string();
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
-
 // The uninterrupted inline reference front for K islands, computed once per
 // test binary (it is itself a full search).
 const std::string& reference_front(std::size_t islands) {
@@ -82,9 +70,10 @@ const std::string& reference_front(std::size_t islands) {
     DistOptions options;
     options.spawn = false;
     options.log = [](const std::string&) {};
-    DistCoordinator coordinator(tiny_spec(islands),
-                                tmp_dir("ref_k" + std::to_string(islands)),
-                                options);
+    const hadas::test::ScratchDir scratch;
+    DistCoordinator coordinator(
+        tiny_spec(islands), scratch.file("ref_k" + std::to_string(islands)),
+        options);
     DistReport report = coordinator.run();
     it = cache.emplace(islands, report.merged.dump(2)).first;
   }
@@ -101,6 +90,7 @@ struct Fleet {
   hadas::net::FakeSocketHandler fake{network};
   std::optional<hadas::net::FlakySocketHandler> flaky;
   hadas::net::SocketHandler* handler = &fake;
+  const hadas::test::ScratchDir scratch;
   std::string dir;
   DistSpec spec;
   DistOptions options;
@@ -109,7 +99,7 @@ struct Fleet {
   std::vector<std::unique_ptr<NetWorker>> workers;
 
   Fleet(const std::string& name, std::size_t islands, std::size_t severs = 0) {
-    dir = tmp_dir(name);
+    dir = scratch.file(name);
     spec = tiny_spec(islands);
     if (severs > 0) {
       hadas::net::FlakyConfig config;
@@ -241,7 +231,9 @@ TEST(DistNet, ParseDistChunkRejectsMalformed) {
 }
 
 TEST(DistNet, SessionJournalRoundTrip) {
-  const std::string dir = tmp_dir("journal");
+  const hadas::test::ScratchDir scratch;
+  const std::string dir = scratch.file("journal");
+  std::filesystem::create_directories(dir);
   const std::string path = hadas::dist::dist_session_path(dir, 1);
   hadas::net::SessionState state;
   state.session_id = hadas::dist::dist_session_id(1);
@@ -443,7 +435,8 @@ TEST(DistNet, ThreadedRunOverFakeNetwork) {
   // thread-safe FakeNetwork.
   auto network = std::make_shared<hadas::net::FakeNetwork>();
   hadas::net::FakeSocketHandler handler(network);
-  const std::string dir = tmp_dir("threaded");
+  const hadas::test::ScratchDir scratch;
+  const std::string dir = scratch.file("threaded");
   const DistSpec spec = tiny_spec(2);
   DistOptions options;
   options.listen = hadas::util::HostPort{"coord", 7460};

@@ -85,7 +85,7 @@ TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
 }
 
 TEST(Dispatcher, MapReturnsResultsInIndexOrder) {
-  exec::ParallelDispatcher dispatcher({/*threads=*/4, /*cache_capacity=*/0});
+  exec::ParallelDispatcher dispatcher({/*threads=*/4});
   const auto out = dispatcher.map(
       100, [](std::size_t i) { return static_cast<int>(i) * 3; });
   ASSERT_EQ(out.size(), 100u);
@@ -94,8 +94,8 @@ TEST(Dispatcher, MapReturnsResultsInIndexOrder) {
 }
 
 TEST(Dispatcher, SerialFallbackMatchesParallel) {
-  exec::ParallelDispatcher serial({/*threads=*/1, 0});
-  exec::ParallelDispatcher parallel({/*threads=*/4, 0});
+  exec::ParallelDispatcher serial({/*threads=*/1});
+  exec::ParallelDispatcher parallel({/*threads=*/4});
   EXPECT_TRUE(serial.serial());
   EXPECT_FALSE(parallel.serial());
   auto fn = [](std::size_t i) { return static_cast<double>(i) * 0.5 + 1.0; };
@@ -104,17 +104,17 @@ TEST(Dispatcher, SerialFallbackMatchesParallel) {
 
 TEST(Dispatcher, HadasThreadsEnvOverridesConfig) {
   ASSERT_EQ(setenv("HADAS_THREADS", "1", /*overwrite=*/1), 0);
-  EXPECT_EQ(exec::resolve_threads({/*threads=*/8, 0}), 1u);
+  EXPECT_EQ(exec::resolve_threads({/*threads=*/8}), 1u);
   ASSERT_EQ(setenv("HADAS_THREADS", "3", 1), 0);
-  EXPECT_EQ(exec::resolve_threads({/*threads=*/8, 0}), 3u);
+  EXPECT_EQ(exec::resolve_threads({/*threads=*/8}), 3u);
   for (const char* rejected : {"not-a-number", "-1", "+3", " 4"}) {
     ASSERT_EQ(setenv("HADAS_THREADS", rejected, 1), 0);
-    EXPECT_EQ(exec::resolve_threads({/*threads=*/8, 0}), 8u)  // ignored
+    EXPECT_EQ(exec::resolve_threads({/*threads=*/8}), 8u)  // ignored
         << "HADAS_THREADS=\"" << rejected << '"';
   }
   ASSERT_EQ(unsetenv("HADAS_THREADS"), 0);
-  EXPECT_EQ(exec::resolve_threads({/*threads=*/8, 0}), 8u);
-  EXPECT_GE(exec::resolve_threads({/*threads=*/0, 0}), 1u);  // auto
+  EXPECT_EQ(exec::resolve_threads({/*threads=*/8}), 8u);
+  EXPECT_GE(exec::resolve_threads({/*threads=*/0}), 1u);  // auto
 }
 
 TEST(Dispatcher, TaskRngDeterministicInSeedAndIndex) {
@@ -129,7 +129,7 @@ TEST(Dispatcher, TaskRngDeterministicInSeedAndIndex) {
 }
 
 TEST(EvalCache, MemoizesAndCountsHits) {
-  exec::EvalCache<int> cache(/*capacity=*/64);
+  exec::EvalCache<int> cache;
   std::atomic<int> computes{0};
   auto compute = [&] {
     computes.fetch_add(1);
@@ -145,18 +145,19 @@ TEST(EvalCache, MemoizesAndCountsHits) {
   EXPECT_GT(stats.hit_rate(), 0.0);
 }
 
-TEST(EvalCache, EvictsFifoAtCapacityWithoutChangingValues) {
-  exec::EvalCache<std::size_t> cache(/*capacity=*/16, /*shards=*/1);
-  for (std::size_t k = 0; k < 200; ++k)
+TEST(EvalCache, ReferencesStayValidAsTheTableGrows) {
+  exec::EvalCache<std::size_t> cache;
+  const std::size_t& first =
+      cache.get_or_compute(0, [] { return std::size_t{7}; });
+  for (std::size_t k = 1; k < 2000; ++k)  // many rehashes
     cache.get_or_compute(k, [k] { return k * 2; });
-  EXPECT_LE(cache.size(), 16u);
-  EXPECT_GT(cache.stats().evictions, 0u);
-  // Evicted keys recompute to the same value (pure function of the key).
-  EXPECT_EQ(cache.get_or_compute(0, [] { return std::size_t{0}; }), 0u);
+  EXPECT_EQ(first, 7u);
+  EXPECT_EQ(&cache.get_or_compute(0, [] { return std::size_t{0}; }), &first);
+  EXPECT_EQ(cache.stats().size, 2000u);
 }
 
 TEST(EvalCache, ConcurrentMixedKeysAreConsistent) {
-  exec::EvalCache<std::size_t> cache(/*capacity=*/0);
+  exec::EvalCache<std::size_t> cache;
   exec::ThreadPool pool(4);
   std::atomic<bool> wrong{false};
   pool.parallel_for(2000, [&](std::size_t i) {
@@ -166,7 +167,7 @@ TEST(EvalCache, ConcurrentMixedKeysAreConsistent) {
     if (value != key * 7) wrong.store(true);
   });
   EXPECT_FALSE(wrong.load());
-  EXPECT_EQ(cache.size(), 64u);
+  EXPECT_EQ(cache.stats().size, 64u);
 }
 
 }  // namespace

@@ -103,6 +103,31 @@ TEST(ObsExport, HealthGaugesOnlyWhenTheRobustLayerIsOn) {
   EXPECT_TRUE(exported_health(config));
 }
 
+TEST(ObsExport, QueueDepthPeakOnlyWhenAPoolQueuesWork) {
+  const ObsOffGuard guard;
+  set_obs(true);
+  const auto space = supernet::SearchSpace::attentive_nas();
+  const auto exported_peak = [&](std::size_t threads) {
+    core::HadasConfig config = small_search_config(threads);
+    config.outer_generations = 1;
+    core::HadasEngine engine(space, hw::Target::kTx2PascalGpu, config);
+    core::export_search_metrics(engine, engine.run());
+    return obs::MetricsRegistry::global().to_json().at("gauges").contains(
+        "exec.queue_depth_peak");
+  };
+  // Registrations outlive reset(), so the one-thread run goes first; it
+  // adds no gauge that an earlier pooled run in this process had not.
+  const bool registered_before =
+      obs::MetricsRegistry::global().to_json().at("gauges").contains(
+          "exec.queue_depth_peak");
+  EXPECT_EQ(exported_peak(1), registered_before);
+  EXPECT_TRUE(exported_peak(2));
+  EXPECT_GE(obs::MetricsRegistry::global()
+                .gauge("exec.queue_depth_peak")
+                .value(),
+            1.0);
+}
+
 struct ServeHarness {
   data::SyntheticTask task{test::small_data()};
   supernet::CostModel cm{supernet::SearchSpace::attentive_nas()};
