@@ -34,10 +34,8 @@ ServeClient::ServeClient(SocketHandler& handler, ClientConfig config)
     sample_count_ = util::parse_uint("session sample_count",
                                      app.at("sample_count").as_string());
   });
-  if (!restored) {
-    generate_requests();
-    endpoint_.save();
-  }
+  // The stream is queued at the first WELCOME, journaled once there.
+  if (!restored) endpoint_.save();
 }
 
 void ServeClient::generate_requests() {
@@ -89,6 +87,9 @@ std::string ServeClient::welcome_fingerprint(const std::string& payload,
 
 void ServeClient::welcomed(const std::string& payload, std::size_t at) {
   sample_count_ = get_u64(payload, at);
+  // No byte can leave before a WELCOME sets the flush cursor, so the trace
+  // is queued here, before the save that journals the fingerprint.
+  if (endpoint_.writer().write_seq() == 0) generate_requests();
 }
 
 void ServeClient::apply(const Frame& frame) {

@@ -75,7 +75,8 @@ class ServeClient : private SessionEndpoint::App {
   }
 
  private:
-  /// Queue the whole request trace + kFinish into the backed writer.
+  /// Queue the whole request trace + kFinish into the backed writer (at the
+  /// first WELCOME).
   void generate_requests();
 
   // SessionEndpoint::App: the WELCOME tail is u64 sample_count + the

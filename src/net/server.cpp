@@ -13,43 +13,20 @@ namespace {
 /// payload cap, several per DATA chunk).
 constexpr std::size_t kReportChunkBytes = 32 * 1024;
 
-double bits_to_double(std::uint64_t bits) {
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
+/// Bytes of one request record: u64 id | u64 arrival bits | u64 sample pos.
+constexpr std::size_t kRequestBytes = 24;
 
-std::uint64_t double_to_bits(double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-util::Json requests_to_json(
-    const std::vector<runtime::serve::RemoteRequest>& requests) {
-  util::Json::Array rows;
-  rows.reserve(requests.size());
-  for (const runtime::serve::RemoteRequest& r : requests) {
-    util::Json::Array row;
-    row.emplace_back(std::to_string(r.id));
-    row.emplace_back(std::to_string(double_to_bits(r.arrival_s)));
-    row.emplace_back(std::to_string(r.sample_pos));
-    rows.emplace_back(std::move(row));
-  }
-  return util::Json(std::move(rows));
-}
-
-std::vector<runtime::serve::RemoteRequest> requests_from_json(
-    const util::Json& json) {
-  std::vector<runtime::serve::RemoteRequest> requests;
-  for (const util::Json& row : json.as_array()) {
-    runtime::serve::RemoteRequest r;
-    r.id = util::parse_uint("session request id", row.at(0).as_string());
-    r.arrival_s = bits_to_double(
-        util::parse_uint("session request arrival", row.at(1).as_string()));
-    r.sample_pos =
-        util::parse_uint("session request pos", row.at(2).as_string());
-    requests.push_back(r);
+std::vector<runtime::serve::RemoteRequest> unpack_requests(
+    const std::string& records) {
+  std::vector<runtime::serve::RemoteRequest> requests(records.size() /
+                                                      kRequestBytes);
+  std::size_t offset = 0;
+  for (runtime::serve::RemoteRequest& request : requests) {
+    request.id = get_u64(records, offset);
+    const std::uint64_t bits = get_u64(records, offset + 8);
+    std::memcpy(&request.arrival_s, &bits, sizeof(bits));
+    request.sample_pos = get_u64(records, offset + 16);
+    offset += kRequestBytes;
   }
   return requests;
 }
@@ -89,10 +66,17 @@ void ServeDaemon::welcome_tail(std::string& payload) {
 }
 
 void ServeDaemon::open(const std::string& id, const util::Json* journaled) {
-  sessions_[id] = journaled == nullptr
-                      ? Session{}
-                      : Session{requests_from_json(journaled->at("requests")),
-                                journaled->at("finished").as_bool()};
+  Session session;
+  if (journaled != nullptr) {
+    session.requests =
+        util::from_hex(journaled->at("requests_hex").as_string());
+    if (session.requests.size() % kRequestBytes != 0)
+      throw std::invalid_argument("ServeDaemon: journaled requests of " +
+                                  std::to_string(session.requests.size()) +
+                                  " bytes are not whole records");
+    session.finished = journaled->at("finished").as_bool();
+  }
+  sessions_[id] = std::move(session);
   (journaled == nullptr ? net_metrics().sessions_created
                         : net_metrics().sessions_resumed)
       .inc();
@@ -101,7 +85,7 @@ void ServeDaemon::open(const std::string& id, const util::Json* journaled) {
 util::Json ServeDaemon::journal(const std::string& id) {
   const Session& session = sessions_.at(id);
   util::Json::Object app;
-  app["requests"] = requests_to_json(session.requests);
+  app["requests_hex"] = util::Json(util::to_hex(session.requests));
   app["finished"] = util::Json(session.finished);
   return util::Json(std::move(app));
 }
@@ -118,29 +102,25 @@ bool ServeDaemon::apply(const std::string& id, const Frame& frame,
   switch (frame.type) {
     case FrameType::kRequestBatch: {
       const std::uint32_t count = get_u32(frame.payload, 0);
-      if (frame.payload.size() != 4 + std::size_t{count} * 24)
+      if (frame.payload.size() != 4 + std::size_t{count} * kRequestBytes)
         throw ProtocolError("ServeDaemon: malformed request batch");
-      std::size_t offset = 4;
-      for (std::uint32_t i = 0; i < count; ++i, offset += 24) {
-        runtime::serve::RemoteRequest request;
-        request.id = get_u64(frame.payload, offset);
-        request.arrival_s = bits_to_double(get_u64(frame.payload, offset + 8));
-        request.sample_pos = get_u64(frame.payload, offset + 16);
-        session.requests.push_back(request);
-      }
+      session.requests.append(frame.payload, 4);
       net_metrics().requests_streamed.inc(count);
       return false;
     }
     case FrameType::kFinish: {
       if (session.finished) return false;  // unreachable: read_seq is past it
       obs::TraceSpan span("net.run_trace", "net");
-      const std::string report = service_.run_trace(session.requests);
+      const std::string report =
+          service_.run_trace(unpack_requests(session.requests));
       for (std::size_t at = 0; at < report.size(); at += kReportChunkBytes)
         out.append(encode_frame(FrameType::kReportChunk,
                                 std::string_view(report).substr(
                                     at, kReportChunkBytes)));
       out.append(encode_frame(FrameType::kReportEnd, ""));
       session.finished = true;
+      // A finished session only replays its writer.
+      std::string().swap(session.requests);
       net_metrics().reports_sent.inc();
       return false;
     }

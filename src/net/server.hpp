@@ -60,7 +60,9 @@ class ServeDaemon : private SessionHost::App {
  private:
   /// What one session journals beside its stream offsets.
   struct Session {
-    std::vector<runtime::serve::RemoteRequest> requests;
+    /// The requests received, as their 24-byte wire records; emptied once
+    /// the report is queued.
+    std::string requests;
     bool finished = false;  ///< kFinish consumed; report queued in writer
   };
 

@@ -2,8 +2,10 @@
 
 #include <cerrno>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
 
 namespace hadas::util {
@@ -106,12 +108,31 @@ bool Json::operator==(const Json& other) const {
 // ---------- serialization ----------
 
 namespace {
-/// Appends `s` quoted, each run of bytes that needs no escape in one go.
+/// Whether none of the eight bytes at `p` needs an escape: none is below
+/// 0x20, a '"' or a '\\'. The SWAR zero-byte test is exact as a yes/no,
+/// whatever the byte order.
+bool plain_word(const char* p) {
+  constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
+  constexpr std::uint64_t kHigh = 0x8080808080808080ULL;
+  std::uint64_t w = 0;
+  std::memcpy(&w, p, sizeof(w));
+  const auto has_zero = [](std::uint64_t v) {
+    return (v - kOnes) & ~v & kHigh;
+  };
+  const std::uint64_t below_space = (w - kOnes * 0x20) & ~w & kHigh;
+  return (below_space | has_zero(w ^ (kOnes * '"')) |
+          has_zero(w ^ (kOnes * '\\'))) == 0;
+}
+
+/// Appends `s` quoted, each run of bytes that needs no escape in one go;
+/// the run is scanned eight bytes at a time.
 void dump_string(std::string& out, const std::string& s) {
   static constexpr char kHex[] = "0123456789abcdef";
   out += '"';
   std::size_t run = 0;  // first byte not yet appended
   for (std::size_t i = 0; i < s.size(); ++i) {
+    while (s.size() - i >= 8 && plain_word(s.data() + i)) i += 8;
+    if (i == s.size()) break;
     const auto c = static_cast<unsigned char>(s[i]);
     if (c >= 0x20 && c != '"' && c != '\\') continue;
     out.append(s, run, i - run);

@@ -1,9 +1,11 @@
 #include "util/strutil.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -88,12 +90,21 @@ HostPort parse_hostport(const std::string& what, const std::string& value) {
 }
 
 std::string to_hex(const std::string& bytes) {
-  static const char* digits = "0123456789abcdef";
+  // The two digits of every byte value, so each byte is one 2-byte copy.
+  static constexpr std::array<char, 512> kPairs = [] {
+    constexpr char digits[] = "0123456789abcdef";
+    std::array<char, 512> pairs{};
+    for (std::size_t b = 0; b < 256; ++b) {
+      pairs[2 * b] = digits[b >> 4];
+      pairs[2 * b + 1] = digits[b & 0xF];
+    }
+    return pairs;
+  }();
   std::string out(bytes.size() * 2, '\0');
   char* p = out.data();
   for (unsigned char c : bytes) {
-    *p++ = digits[c >> 4];
-    *p++ = digits[c & 0xF];
+    std::memcpy(p, &kPairs[2 * std::size_t{c}], 2);
+    p += 2;
   }
   return out;
 }

@@ -13,6 +13,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "eager_peer.hpp"
@@ -21,12 +22,14 @@
 #include "net/fake_socket.hpp"
 #include "net/frame.hpp"
 #include "net/server.hpp"
+#include "net/session.hpp"
 #include "net/socket.hpp"
 #include "obs/metrics.hpp"
 #include "util/rng.hpp"
 #include "test_helpers.hpp"
 
 #include <cmath>
+#include <cstring>
 
 namespace {
 
@@ -110,11 +113,10 @@ struct Loopback {
   std::string dir;
 };
 
-/// What the client's deterministic trace should produce: rebuild the same
-/// requests (arrival process mirrors poisson_trace, sample position = index)
-/// and run them through the service directly.
-std::string expected_report(const runtime::serve::ServeService& service,
-                            const ClientConfig& config) {
+/// The client's deterministic trace, rebuilt: the arrival process mirrors
+/// poisson_trace and request i carries sample position i.
+std::vector<runtime::serve::RemoteRequest> trace_requests(
+    const ClientConfig& config) {
   util::Rng rng(config.traffic.seed);
   std::vector<runtime::serve::RemoteRequest> requests;
   double arrival = 0.0;
@@ -123,7 +125,13 @@ std::string expected_report(const runtime::serve::ServeService& service,
       arrival += -std::log(1.0 - rng.uniform()) / config.traffic.arrival_rate_hz;
     requests.push_back({i, arrival, i});
   }
-  return service.run_trace(requests);
+  return requests;
+}
+
+/// What the client's trace should produce, run through the service directly.
+std::string expected_report(const runtime::serve::ServeService& service,
+                            const ClientConfig& config) {
+  return service.run_trace(trace_requests(config));
 }
 
 /// Cooperative pump until the client finishes (or the step budget runs out).
@@ -225,11 +233,42 @@ class EscapingService : public runtime::serve::ServeService {
   std::string fingerprint_ = "escaping-service-fp-1";
 };
 
+/// Raw HELLO bytes as a real client would send them.
+std::string hello_bytes(const std::string& id, std::uint64_t read_seq) {
+  std::string payload;
+  net::put_u32(payload, net::kProtocolVersion);
+  net::put_u64(payload, read_seq);
+  payload += id;
+  return net::encode_frame(net::FrameType::kHello, payload);
+}
+
+/// Raw bytes of a client's first DATA frame: one kRequestBatch holding
+/// `requests`, at stream offset 0.
+std::string request_batch_bytes(
+    const std::vector<runtime::serve::RemoteRequest>& requests) {
+  std::string batch;
+  net::put_u32(batch, static_cast<std::uint32_t>(requests.size()));
+  for (const runtime::serve::RemoteRequest& r : requests) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &r.arrival_s, sizeof(bits));
+    net::put_u64(batch, r.id);
+    net::put_u64(batch, bits);
+    net::put_u64(batch, r.sample_pos);
+  }
+  std::string data;
+  net::put_u64(data, 0);
+  data += net::encode_frame(net::FrameType::kRequestBatch, batch);
+  return net::encode_frame(net::FrameType::kData, data);
+}
+
 // One fixed session run to completion, pinning the bytes of the last
 // journal each side wrote before the session was garbage-collected: the
-// daemon's session-<id>.json (request rows, the finished flag and the
-// unacked report frames in hex) and the client's state file (the escaped
-// report and the unacked BYE).
+// daemon's session-<id>.json (the finished flag, its requests emptied, and
+// the unacked report frames in hex) and the client's state file (the
+// escaped report and the unacked BYE). A client's whole trace reaches the
+// daemon in one pump here, so a second session uploads its first batch
+// alone over a raw socket, and the daemon journal that consumed it pins the
+// request encoding: the 24-byte wire records in hex.
 TEST(NetLoopback, JournalBytesMatchGoldenFiles) {
   Loopback loop("journal_golden");
   const EscapingService service;
@@ -253,6 +292,18 @@ TEST(NetLoopback, JournalBytesMatchGoldenFiles) {
   EXPECT_EQ(daemon.sessions_completed(), 1u);
   expect_golden_bytes("serve-session-daemon.json", daemon_journal);
   expect_golden_bytes("serve-session-client.json", client_journal);
+
+  std::vector<runtime::serve::RemoteRequest> first_batch =
+      trace_requests(config);
+  first_batch.resize(config.batch);
+  auto raw = loop.handler.connect({"daemon", 9000});
+  const std::string bytes =
+      hello_bytes("upload", 0) + request_batch_bytes(first_batch);
+  ASSERT_EQ(raw->write(bytes.data(), bytes.size()), bytes.size());
+  const std::string upload_path = loop.dir + "/session-upload.json";
+  for (int i = 0; i < 100 && !std::filesystem::exists(upload_path); ++i)
+    daemon.step();
+  expect_golden_bytes("serve-session-daemon-upload.json", slurp(upload_path));
 }
 
 // The daemon's ack of BYE and its close can both land in the client's last
@@ -321,15 +372,6 @@ TEST(NetLoopback, FlakySeverScheduleIsSeededAndSurvivable) {
   EXPECT_EQ(client.report(),
             expected_report(loop.service, loop.client_config("x")));
   EXPECT_EQ(daemon.sessions_completed(), 1u);
-}
-
-/// Raw HELLO bytes as a real client would send them.
-std::string hello_bytes(const std::string& id, std::uint64_t read_seq) {
-  std::string payload;
-  net::put_u32(payload, net::kProtocolVersion);
-  net::put_u64(payload, read_seq);
-  payload += id;
-  return net::encode_frame(net::FrameType::kHello, payload);
 }
 
 // A client that reboots while its old socket is still half-open reconnects
@@ -418,12 +460,10 @@ TEST(NetLoopback, LostClientJournalIsRefusedLoudly) {
   EXPECT_EQ(daemon.active_sessions(), 1u);
 }
 
-// A session journal the daemon cannot read is that session's problem only:
-// the daemon refuses its HELLO, naming the corruption, and keeps serving
-// every other session.
-TEST(NetLoopback, CorruptSessionJournalIsRefusedNotFatal) {
-  Loopback loop("corrupt_journal");
-  std::ofstream(loop.dir + "/session-bad.json") << "not a durable envelope\n";
+/// Serves a client of session "bad", whose journal `loop` holds, beside a
+/// healthy one: the bad one must be refused with a reason naming `want`
+/// while the daemon keeps stepping and serves the healthy one in full.
+void expect_refused_beside_healthy(Loopback& loop, const std::string& want) {
   ServeDaemon daemon(loop.handler, loop.service, loop.daemon_config());
   daemon.start();
   ServeClient bad(loop.handler, loop.client_config("bad"));
@@ -442,11 +482,75 @@ TEST(NetLoopback, CorruptSessionJournalIsRefusedNotFatal) {
     ASSERT_NO_THROW(daemon.step());
   }
   EXPECT_NE(refusal.find("refused"), std::string::npos) << refusal;
-  EXPECT_NE(refusal.find("corrupt"), std::string::npos) << refusal;
+  EXPECT_NE(refusal.find(want), std::string::npos) << refusal;
   ASSERT_TRUE(healthy.done());
   EXPECT_EQ(healthy.report(),
             expected_report(loop.service, loop.client_config("x")));
   EXPECT_EQ(daemon.sessions_completed(), 1u);
+}
+
+// A session journal the daemon cannot read is that session's problem only:
+// the daemon refuses its HELLO, naming the corruption, and keeps serving
+// every other session.
+TEST(NetLoopback, CorruptSessionJournalIsRefusedNotFatal) {
+  Loopback loop("corrupt_journal");
+  std::ofstream(loop.dir + "/session-bad.json") << "not a durable envelope\n";
+  expect_refused_beside_healthy(loop, "corrupt");
+}
+
+// A daemon journal that is a sound envelope but whose `app` document does
+// not decode to whole request records, or is in the old `requests`-rows
+// layout, is refused as corrupt, not misread.
+TEST(NetLoopback, MalformedRequestJournalIsRefusedNotFatal) {
+  using util::Json;
+  const std::vector<std::pair<std::string, Json>> cases = {
+      {"requests_hex", Json("000")},                           // odd length
+      {"requests_hex", Json(std::string(47, '0') + "g")},      // not hex
+      {"requests_hex", Json(std::string(46, '0'))},            // 23 bytes
+      {"requests", Json::parse(R"([["0", "4571404429706431473", "0"]])")},
+  };
+  for (const auto& [key, value] : cases) {
+    SCOPED_TRACE(key + " = " + value.dump());
+    Loopback loop("malformed_requests");
+    Json::Object app;
+    app[key] = value;
+    app["finished"] = Json(false);
+    net::save_session_state(net::session_journal_path(loop.dir, "bad"),
+                            {"bad", loop.service.fingerprint(), 0, "", 0,
+                             Json(std::move(app))},
+                            net::kSessionFormatTag);
+    expect_refused_beside_healthy(loop, "session journal corrupt");
+  }
+}
+
+// A session that never reconnects replays nothing: the client queues its
+// trace at the WELCOME, after the flush cursor is set, so its first send is
+// not counted as replay. A severed session resends what was in flight.
+TEST(NetLoopback, OnlySeveredSessionsCountReplayedBytes) {
+  net::NetMetrics& metrics = net::net_metrics();
+  {
+    Loopback loop("replay_clean");
+    ServeDaemon daemon(loop.handler, loop.service, loop.daemon_config());
+    daemon.start();
+    ServeClient client(loop.handler, loop.client_config("clean"));
+    const std::uint64_t before = metrics.bytes_replayed.value();
+    ASSERT_TRUE(drive(daemon, client));
+    EXPECT_EQ(metrics.bytes_replayed.value(), before);
+  }
+  Loopback loop("replay_severed");
+  ServeDaemon daemon(loop.handler, loop.service, loop.daemon_config());
+  daemon.start();
+  FlakyConfig flaky;
+  flaky.seed = 0xC4A05;
+  flaky.severs = 3;
+  flaky.min_bytes = 200;
+  flaky.max_bytes = 3000;
+  FlakySocketHandler chaos(loop.handler, flaky);
+  ServeClient client(chaos, loop.client_config("severed"));
+  const std::uint64_t before = metrics.bytes_replayed.value();
+  ASSERT_TRUE(drive(daemon, client, 60000));
+  EXPECT_EQ(chaos.severed(), 3u);
+  EXPECT_GT(metrics.bytes_replayed.value(), before);
 }
 
 // A server that accepts and hangs up without ever completing a handshake

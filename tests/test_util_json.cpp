@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <cstdio>
 #include <string>
 
 #include "util/json.hpp"
 #include "util/rng.hpp"
+#include "util/strutil.hpp"
 
 namespace {
 
@@ -78,6 +82,80 @@ TEST(Json, StringEscaping) {
   const std::string dumped = json.dump();
   EXPECT_EQ(dumped, "\"a\\\"b\\\\c\\nd\\te\"");
   EXPECT_EQ(Json::parse(dumped).as_string(), json.as_string());
+}
+
+/// `s` as a JSON string literal, escaped one byte at a time: the reference
+/// dump() must match.
+std::string reference_dump(const std::string& s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out = "\"";
+  for (const char ch : s) {
+    const auto c = static_cast<unsigned char>(ch);
+    if (c == '"') {
+      out += "\\\"";
+    } else if (c == '\\') {
+      out += "\\\\";
+    } else if (c == '\n') {
+      out += "\\n";
+    } else if (c == '\t') {
+      out += "\\t";
+    } else if (c == '\r') {
+      out += "\\r";
+    } else if (c < 0x20) {
+      out += "\\u00";
+      out += kHex[c >> 4];
+      out += kHex[c & 0xF];
+    } else {
+      out += ch;
+    }
+  }
+  out += '"';
+  return out;
+}
+
+// dump() scans plain bytes eight at a time. Every byte that needs an escape,
+// at every offset 0-23 of plain runs 0-24 long, must come out as the
+// byte-wise escaper writes it. The plain runs cycle through the bytes next
+// to the escape classes (0x20, 0x21, 0x23, 0x5b, 0x5d) and the same values
+// with the high bit set, where a word-wide test could borrow or carry.
+TEST(Json, DumpStringWordScanMatchesBytewiseEscaper) {
+  const std::string plain = "\x20\x21\x23\x5b\x5d\x7f\x80\xa0\xa2\xdc\xff"
+                            "az";
+  std::string escapable;
+  for (int b = 0; b < 0x20; ++b) escapable.push_back(static_cast<char>(b));
+  escapable += "\"\\";
+  for (std::size_t length = 0; length <= 24; ++length) {
+    std::string run;
+    for (std::size_t i = 0; i < length; ++i) run += plain[i % plain.size()];
+    ASSERT_EQ(Json(run).dump(), reference_dump(run)) << "plain run " << length;
+    for (std::size_t at = 0; at <= std::min<std::size_t>(length, 23); ++at) {
+      for (const char e : escapable) {
+        std::string s = run;
+        s.insert(at, 1, e);
+        ASSERT_EQ(Json(s).dump(), reference_dump(s))
+            << "byte " << static_cast<int>(static_cast<unsigned char>(e))
+            << " at " << at << " of a " << length << "-byte run";
+      }
+    }
+  }
+}
+
+// Journals carry binary stream bytes as hex: every byte value encodes to
+// its two lower-case digits and decodes back, from either case.
+TEST(Json, HexRoundTripsEveryByteValue) {
+  std::string all;
+  std::string digits;
+  for (int b = 0; b < 256; ++b) {
+    all.push_back(static_cast<char>(b));
+    char pair[3];
+    std::snprintf(pair, sizeof(pair), "%02x", b);
+    digits += pair;
+  }
+  EXPECT_EQ(hadas::util::to_hex(all), digits);
+  EXPECT_EQ(hadas::util::from_hex(digits), all);
+  std::string upper = digits;
+  for (char& c : upper) c = static_cast<char>(std::toupper(c));
+  EXPECT_EQ(hadas::util::from_hex(upper), all);
 }
 
 // Pins the serialized bytes of every byte value, in values and in keys, at
